@@ -38,7 +38,7 @@ from .errors import (
     RafPrefError,
     ValidationError,
 )
-from .perturb import PerturbationSequences, perturbation_sequences, sequence_term
+from .perturb import PerturbationSequences, perturbation_sequences
 from .preference import (
     KINDS,
     WEAKLY_CONTINUOUS_KINDS,
@@ -48,7 +48,6 @@ from .preference import (
     build_oracle,
     indifferent,
     strictly_prefers,
-    weak_prefers,
 )
 from .raf import (
     AlternativeSet,
@@ -119,11 +118,9 @@ __all__ = [
     "perturbation_sequences",
     "pointwise_dominates",
     "scale_top",
-    "sequence_term",
     "strictly_dominates",
     "strictly_prefers",
     "sup_distance",
     "top",
     "validate_representation",
-    "weak_prefers",
 ]

@@ -11,10 +11,11 @@ semi-decidable: the fixed family library either exhibits a witness or says
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _count
 from .preference import PreferenceOracle, strictly_prefers
 from .raf import AlternativeSet, Raf, bottom, scale_top, strictly_dominates, top
 from .sampling import RafSampler
@@ -51,13 +52,7 @@ class AxiomCheck:
         return self.verdict == PASSED_SAMPLED
 
     def to_dict(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "witness": self.witness,
-            "note": self.note,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -87,10 +82,26 @@ class AxiomReport:
         }
 
 
-def _positive_count(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValidationError(f"{name} must be a positive integer, got {value!r}")
-    return value
+def _first_replayed(
+    candidates: Iterable[tuple],
+    violated: Callable[..., bool],
+    find: Callable[[tuple], tuple | None] | None = None,
+) -> tuple[int, tuple] | None:
+    """The first witness, with its 1-based candidate index, that replays.
+
+    ``violated(*witness)`` is the predicate of one violation.  ``find``
+    probes a candidate for a witness; by default the candidate is probed
+    with ``violated`` and is its own witness.  A witness is returned only
+    when ``violated`` holds again on replay; one that does not is dropped.
+    """
+    for i, candidate in enumerate(candidates, 1):
+        if find is None:
+            witness = candidate if violated(*candidate) else None
+        else:
+            witness = find(candidate)
+        if witness is not None and violated(*witness):
+            return i, witness
+    return None
 
 
 def check_order_axioms(
@@ -105,68 +116,46 @@ def check_order_axioms(
     uses ``n_triples`` triples with all six ordered queries cached.  The
     first violation of each axiom is re-queried before it is reported.
     """
-    _positive_count("n_pairs", n_pairs)
-    _positive_count("n_triples", n_triples)
-    checks = []
+    _count("n_pairs", n_pairs, 1)
+    _count("n_triples", n_triples, 1)
+    weak = oracle.weak_prefers
 
-    verdict, samples, witness = PASSED_SAMPLED, n_pairs, None
-    for i in range(n_pairs):
-        a = sampler.raf()
-        if oracle.weak_prefers(a, a):
-            continue
-        if not oracle.weak_prefers(a, a):  # replay before reporting
-            verdict, samples = FALSIFIED, i + 1
-            witness = {"raf": a.to_dict()}
-            break
-    checks.append(AxiomCheck("reflexivity", verdict, samples, witness))
+    def irreflexive(a: Raf) -> bool:
+        return not weak(a, a)
 
-    verdict, samples, witness = PASSED_SAMPLED, n_pairs, None
-    for i in range(n_pairs):
-        a, b = sampler.raf(), sampler.raf()
-        if oracle.weak_prefers(a, b) or oracle.weak_prefers(b, a):
-            continue
-        if not oracle.weak_prefers(a, b) and not oracle.weak_prefers(b, a):  # replay
-            verdict, samples = FALSIFIED, i + 1
-            witness = {"first": a.to_dict(), "second": b.to_dict()}
-            break
-    checks.append(AxiomCheck("connectedness", verdict, samples, witness))
+    def incomparable(a: Raf, b: Raf) -> bool:
+        return not weak(a, b) and not weak(b, a)
 
-    verdict, samples, witness = PASSED_SAMPLED, n_triples, None
-    for i in range(n_triples):
-        triple = (sampler.raf(), sampler.raf(), sampler.raf())
-        rel = {
-            (x, y): oracle.weak_prefers(triple[x], triple[y])
-            for x in range(3)
-            for y in range(3)
-            if x != y
-        }
-        broken = next(
+    def intransitive(x: Raf, y: Raf, z: Raf) -> bool:
+        return weak(x, y) and weak(y, z) and not weak(x, z)
+
+    def broken_order(triple: tuple[Raf, Raf, Raf]) -> tuple[Raf, Raf, Raf] | None:
+        # Six cached queries decide every ordering of the triple at once.
+        rel = {(x, y): weak(triple[x], triple[y]) for x in range(3) for y in range(3) if x != y}
+        return next(
             (
-                (x, y, z)
-                for x in range(3)
-                for y in range(3)
-                for z in range(3)
-                if len({x, y, z}) == 3 and rel[(x, y)] and rel[(y, z)] and not rel[(x, z)]
+                (triple[x], triple[y], triple[z])
+                for x, y, z in permutations(range(3))
+                if rel[(x, y)] and rel[(y, z)] and not rel[(x, z)]
             ),
             None,
         )
-        if broken is not None:
-            x, y, z = broken
-            replay = (
-                oracle.weak_prefers(triple[x], triple[y])
-                and oracle.weak_prefers(triple[y], triple[z])
-                and not oracle.weak_prefers(triple[x], triple[z])
-            )
-            if replay:
-                verdict, samples = FALSIFIED, i + 1
-                witness = {
-                    "first": triple[x].to_dict(),
-                    "second": triple[y].to_dict(),
-                    "third": triple[z].to_dict(),
-                }
-                break
-    checks.append(AxiomCheck("transitivity", verdict, samples, witness))
 
+    checks = []
+    for axiom, n, roles, violated, find in (
+        ("reflexivity", n_pairs, ("raf",), irreflexive, None),
+        ("connectedness", n_pairs, ("first", "second"), incomparable, None),
+        ("transitivity", n_triples, ("first", "second", "third"), intransitive, broken_order),
+    ):
+        # Drawn lazily: sampling stops at the first replayed witness.
+        draws = (tuple(sampler.raf() for _ in roles) for _ in range(n))
+        hit = _first_replayed(draws, violated, find)
+        if hit is None:
+            checks.append(AxiomCheck(axiom, PASSED_SAMPLED, n))
+        else:
+            samples, witness = hit
+            record = {role: raf.to_dict() for role, raf in zip(roles, witness)}
+            checks.append(AxiomCheck(axiom, FALSIFIED, samples, record))
     return AxiomReport(oracle.name, sampler.seed, tuple(checks))
 
 
@@ -181,19 +170,19 @@ def falsify_weak_dominance(
     probed first; ``n_pairs`` sampled strictly dominating pairs follow.
     Returns the witnessing pair, or ``None`` when no violation was seen.
     """
-    _positive_count("n_pairs", n_pairs)
-    candidates: Iterable[tuple[Raf, Raf]] = (
-        sampler.strictly_dominating_pair() for _ in range(n_pairs)
+    _count("n_pairs", n_pairs, 1)
+
+    def not_strictly_preferred(a: Raf, b: Raf) -> bool:
+        return not strictly_prefers(oracle, a, b)
+
+    sampled = [sampler.strictly_dominating_pair() for _ in range(n_pairs)]
+    candidates = (
+        pair
+        for pair in ((top(oracle.alts), bottom(oracle.alts)), *sampled)
+        if strictly_dominates(*pair)  # the sampler guarantees this
     )
-    canonical = (top(oracle.alts), bottom(oracle.alts))
-    for a, b in (canonical, *candidates):
-        if not strictly_dominates(a, b):  # pragma: no cover - sampler guarantees this
-            continue
-        if strictly_prefers(oracle, a, b):
-            continue
-        if not strictly_prefers(oracle, a, b):  # replay before reporting
-            return (a, b)
-    return None
+    hit = _first_replayed(candidates, not_strictly_preferred)
+    return hit[1] if hit else None
 
 
 @dataclass(frozen=True)
@@ -335,17 +324,13 @@ def falsify_weak_continuity(
     limit.  ``None`` means "not falsified at this depth" and must not be read
     as a verification: the library is a fixed net, not a dense one.
     """
-    if isinstance(depth, bool) or not isinstance(depth, int) or depth < 1:
-        raise ValidationError(f"depth must be a positive integer, got {depth!r}")
-    for family in families:
+    _count("depth", depth, 1)
+
+    def reverses_in_the_limit(family: SequenceFamily) -> bool:
         limit_first, limit_second = family.limits
-        if not strictly_prefers(oracle, limit_second, limit_first):
-            continue
-        if all(strictly_prefers(oracle, *family.term(n)) for n in range(1, depth + 1)):
-            # Replay the whole witness before reporting it.
-            replay = strictly_prefers(oracle, limit_second, limit_first) and all(
-                strictly_prefers(oracle, *family.term(n)) for n in range(1, depth + 1)
-            )
-            if replay:
-                return ContinuityWitness(family, depth)
-    return None
+        return strictly_prefers(oracle, limit_second, limit_first) and all(
+            strictly_prefers(oracle, *family.term(n)) for n in range(1, depth + 1)
+        )
+
+    hit = _first_replayed(((family,) for family in families), reverses_in_the_limit)
+    return ContinuityWitness(hit[1][0], depth) if hit else None

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import MenuAxiomError, ValidationError
+from .errors import MenuAxiomError, ValidationError, _labels, _sequence
 from .preference import PreferenceOracle
 from .raf import AlternativeSet, Raf
 from .utility import compute_u
@@ -54,13 +54,7 @@ class Menu:
             raise ValidationError(
                 f"got {len(labels)} labels for {len(items)} menu items"
             )
-        seen: set[str] = set()
-        for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError(f"menu labels must be nonempty strings, got {label!r}")
-            if label in seen:
-                raise ValidationError(f"duplicate menu label: {label!r}")
-            seen.add(label)
+        _labels("menu", labels)
         for label, item in zip(labels, items):
             if item.alts is not self.alts and item.alts != self.alts:
                 raise ValidationError(
@@ -85,7 +79,7 @@ class Menu:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Menu":
         try:
-            alts = AlternativeSet(tuple(data["alts"]))
+            alts = AlternativeSet(_sequence("alts", data["alts"]))
             entries = list(data["items"])
             labels = tuple(entry["label"] for entry in entries)
             items = tuple(Raf(alts, tuple(entry["values"])) for entry in entries)

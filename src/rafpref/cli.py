@@ -26,7 +26,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -39,10 +38,10 @@ from .axioms import (
 from .choice import Menu, cross_validate_choice
 from .errors import (
     DiagonalMonotonicityError,
-    DominanceHypothesisError,
     MenuAxiomError,
     RafPrefError,
     ValidationError,
+    _sequence,
 )
 from .perturb import perturbation_sequences
 from .preference import PreferenceSpec, build_oracle
@@ -50,22 +49,7 @@ from .raf import AlternativeSet, Raf, strictly_dominates, sup_distance
 from .sampling import RafSampler
 from .utility import compute_u, validate_representation
 
-__all__ = ["main", "entrypoint", "RunConfig"]
-
-_DEFAULT_LABELS = ("a", "b", "c", "d", "e")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of the flags that shape a run; embedded in every report."""
-
-    seed: int
-    tol: float
-    pairs: int
-    triples: int
-    depth: int
-    out: str | None
-    fmt: str
+__all__ = ["main", "entrypoint"]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -81,6 +65,8 @@ def _load_json(path: str) -> object:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_spec(path: str) -> tuple[PreferenceSpec, tuple[str, ...] | None]:
@@ -90,7 +76,7 @@ def _load_spec(path: str) -> tuple[PreferenceSpec, tuple[str, ...] | None]:
     doc = dict(doc)
     file_alts = doc.pop("alts", None)
     if file_alts is not None:
-        file_alts = tuple(file_alts)
+        file_alts = _sequence("alts", file_alts)
     return PreferenceSpec.from_dict(doc), file_alts
 
 
@@ -111,7 +97,7 @@ def _resolve_alts(
         return AlternativeSet(_generated_labels(len(spec.weights)))
     if spec.kind == "lexicographic" and spec.priority:
         return AlternativeSet(spec.priority)
-    return AlternativeSet(_DEFAULT_LABELS)
+    return AlternativeSet(_generated_labels(5))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -125,38 +111,31 @@ def _to_json(payload: Mapping) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _to_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mapping]) -> str:
+    """Flatten JSON-ready ``rows``: a list-valued column fills one cell per entry."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(rows)
+    for row in rows:
+        cells: list = []
+        for column in columns:
+            value = row[column]
+            cells.extend(value if isinstance(value, list) else [value])
+        writer.writerow(cells)
     return buf.getvalue()
 
 
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        seed=getattr(args, "seed", 0),
-        tol=getattr(args, "tol", 1e-6),
-        pairs=getattr(args, "pairs", 1000),
-        triples=getattr(args, "triples", 1000),
-        depth=getattr(args, "depth", 100),
-        out=getattr(args, "out", None),
-        fmt=getattr(args, "format", "json"),
-    )
-
-
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     spec, file_alts = _load_spec(args.spec)
     alts = _resolve_alts(args.alts, file_alts, spec)
     oracle = build_oracle(spec, alts)
-    sampler = RafSampler(alts, cfg.seed)
+    sampler = RafSampler(alts, args.seed)
 
-    order = check_order_axioms(oracle, sampler, cfg.pairs, cfg.triples)
-    dominance_witness = falsify_weak_dominance(oracle, sampler, cfg.pairs)
+    order = check_order_axioms(oracle, sampler, args.pairs, args.triples)
+    dominance_witness = falsify_weak_dominance(oracle, sampler, args.pairs)
     loci = (0.5, spec.cutoff) if spec.cutoff is not None else (0.5,)
     families = builtin_families(alts, loci=loci)
-    continuity_witness = falsify_weak_continuity(oracle, families, cfg.depth)
+    continuity_witness = falsify_weak_continuity(oracle, families, args.depth)
 
     all_passed = (
         order.all_passed and dominance_witness is None and continuity_witness is None
@@ -164,10 +143,10 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     payload = {
         "command": "check-axioms",
         "config": {
-            "seed": cfg.seed,
-            "pairs": cfg.pairs,
-            "triples": cfg.triples,
-            "depth": cfg.depth,
+            "seed": args.seed,
+            "pairs": args.pairs,
+            "triples": args.triples,
+            "depth": args.depth,
         },
         "alts": list(alts.labels),
         "spec": spec.to_dict(),
@@ -175,7 +154,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         "order_axioms": order.to_dict(),
         "weak_dominance": {
             "verdict": "falsified" if dominance_witness else "passed_sampled",
-            "samples": cfg.pairs + 1,
+            "samples": args.pairs + 1,
             "witness": (
                 {
                     "first": dominance_witness[0].to_dict(),
@@ -188,7 +167,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         "weak_continuity": {
             "verdict": "falsified" if continuity_witness else "not_falsified",
             "families": len(families),
-            "depth": cfg.depth,
+            "depth": args.depth,
             "witness": continuity_witness.to_dict() if continuity_witness else None,
             "note": (
                 None
@@ -199,15 +178,13 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         },
         "all_passed": all_passed,
     }
-    _emit(_to_json(payload), cfg.out)
+    _emit(_to_json(payload), args.out)
     return 0 if all_passed else 2
 
 
 def _cmd_build_utility(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     spec, _ = _load_spec(args.spec)
-    doc = _load_json(args.rafs)
-    collection = Menu.from_dict(doc)
+    collection = Menu.from_dict(_load_json(args.rafs))
     oracle = build_oracle(spec, collection.alts)
     print(
         f"note: {oracle.name} has not been screened here; run check-axioms first "
@@ -217,95 +194,79 @@ def _cmd_build_utility(args: argparse.Namespace) -> int:
     rows = []
     for label, raf in collection.pairs():
         try:
-            result = compute_u(oracle, raf, cfg.tol)
+            result = compute_u(oracle, raf, args.tol)
         except DiagonalMonotonicityError as exc:
-            raise DiagonalMonotonicityError(
-                f"{exc} (while scoring item {label!r})",
-                raf=exc.raf,
-                t_member=exc.t_member,
-                t_nonmember=exc.t_nonmember,
-            ) from exc
-        rows.append((label, raf, result))
+            raise exc.in_context(f"while scoring item {label!r}") from exc
+        rows.append({"label": label, "values": list(raf.values), **result.to_dict()})
 
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
-        table = [
-            [label, *[repr(v) for v in raf.values], repr(r.u), repr(r.lo), repr(r.hi), r.oracle_calls]
-            for label, raf, r in rows
-        ]
-        _emit(_to_csv(header, table), cfg.out)
+        columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
+        _emit(_to_csv(header, columns, rows), args.out)
     else:
         payload = {
             "command": "build-utility",
-            "config": {"tol": cfg.tol},
+            "config": {"tol": args.tol},
             "alts": list(collection.alts.labels),
             "spec": spec.to_dict(),
             "oracle": oracle.name,
-            "rows": [
-                {"label": label, "values": list(raf.values), **r.to_dict()}
-                for label, raf, r in rows
-            ],
+            "rows": rows,
         }
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json(payload), args.out)
     return 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     spec, file_alts = _load_spec(args.spec)
     alts = _resolve_alts(args.alts, file_alts, spec)
     oracle = build_oracle(spec, alts)
-    sampler = RafSampler(alts, cfg.seed)
-    report = validate_representation(oracle, sampler, cfg.pairs, cfg.tol)
+    sampler = RafSampler(alts, args.seed)
+    report = validate_representation(oracle, sampler, args.pairs, args.tol)
     payload = {
         "command": "validate",
-        "config": {"seed": cfg.seed, "tol": cfg.tol, "pairs": cfg.pairs},
+        "config": {"seed": args.seed, "tol": args.tol, "pairs": args.pairs},
         "alts": list(alts.labels),
         "spec": spec.to_dict(),
         "report": report.to_dict(),
     }
-    _emit(_to_json(payload), cfg.out)
+    _emit(_to_json(payload), args.out)
     return 0 if not report.violations else 2
 
 
 def _cmd_choose(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     spec, _ = _load_spec(args.spec)
     menu = Menu.from_dict(_load_json(args.menu))
     oracle = build_oracle(spec, menu.alts)
-    agreed, report = cross_validate_choice(oracle, menu, cfg.tol)
+    agreed, report = cross_validate_choice(oracle, menu, args.tol)
     payload = {
         "command": "choose",
-        "config": {"tol": cfg.tol},
+        "config": {"tol": args.tol},
         "spec": spec.to_dict(),
         "menu": menu.to_dict(),
         "oracle": oracle.name,
         "result": report.to_dict(),
     }
-    _emit(_to_json(payload), cfg.out)
+    _emit(_to_json(payload), args.out)
     return 0 if agreed else 2
 
 
-def _parse_values(text: str, what: str) -> tuple[float, ...]:
+def _parse_list(text: str, what: str, kind: type = float) -> tuple:
     try:
-        return tuple(float(part) for part in text.split(","))
+        return tuple(kind(part) for part in text.split(","))
     except ValueError:
-        raise ValidationError(f"{what} must be comma-separated numbers, got {text!r}") from None
+        items = "integers" if kind is int else "numbers"
+        raise ValidationError(f"{what} must be comma-separated {items}, got {text!r}") from None
 
 
 def _cmd_demo_sequences(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    upper_values = _parse_values(args.upper, "--upper")
+    upper_values = _parse_list(args.upper, "--upper")
     if args.alts is not None:
         alts = AlternativeSet(tuple(args.alts.split(",")))
     else:
         alts = AlternativeSet(_generated_labels(len(upper_values)))
     upper = Raf(alts, upper_values)
-    lower = Raf(alts, _parse_values(args.lower, "--lower"))
-    try:
-        indices = tuple(int(part) for part in args.terms.split(","))
-    except ValueError:
-        raise ValidationError(f"--terms must be comma-separated integers, got {args.terms!r}") from None
+    lower = Raf(alts, _parse_list(args.lower, "--lower"))
+    indices = _parse_list(args.terms, "--terms", int)
 
     sequences = perturbation_sequences(upper, lower)
     rows = []
@@ -314,8 +275,8 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> int:
         rows.append(
             {
                 "n": n,
-                "upper": up_n,
-                "lower": low_n,
+                "upper": list(up_n.values),
+                "lower": list(low_n.values),
                 "strictly_dominates": strictly_dominates(up_n, low_n),
                 "dist_upper": sup_distance(up_n, upper),
                 "dist_lower": sup_distance(low_n, lower),
@@ -323,7 +284,7 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> int:
             }
         )
 
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         header = [
             "n",
             *[f"upper_{label}" for label in alts.labels],
@@ -333,19 +294,8 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> int:
             "dist_lower",
             "bound",
         ]
-        table = [
-            [
-                row["n"],
-                *[repr(v) for v in row["upper"].values],
-                *[repr(v) for v in row["lower"].values],
-                row["strictly_dominates"],
-                repr(row["dist_upper"]),
-                repr(row["dist_lower"]),
-                repr(row["bound"]),
-            ]
-            for row in rows
-        ]
-        _emit(_to_csv(header, table), cfg.out)
+        columns = ("n", "upper", "lower", "strictly_dominates", "dist_upper", "dist_lower", "bound")
+        _emit(_to_csv(header, columns, rows), args.out)
     else:
         payload = {
             "command": "demo-sequences",
@@ -358,20 +308,9 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> int:
                 "tied_interior": list(sequences.tied_interior),
                 "interior_margin": sequences.interior_margin,
             },
-            "terms": [
-                {
-                    "n": row["n"],
-                    "upper": list(row["upper"].values),
-                    "lower": list(row["lower"].values),
-                    "strictly_dominates": row["strictly_dominates"],
-                    "dist_upper": row["dist_upper"],
-                    "dist_lower": row["dist_lower"],
-                    "bound": row["bound"],
-                }
-                for row in rows
-            ],
+            "terms": rows,
         }
-        _emit(_to_json(payload), cfg.out)
+        _emit(_to_json(payload), args.out)
     return 0
 
 
@@ -379,47 +318,50 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="rafpref", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, *, formats: tuple[str, ...], default_fmt: str) -> None:
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance (default 1e-6)")
+    # Each subcommand takes only the shared flags its handler reads.
+    def command(name, handler, summary, *, spec=True, seed=False, tol=False, formats=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(handler=handler)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance (default 1e-6)")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", choices=formats, default=default_fmt, help="output format")
+        if formats:
+            p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        if spec:
+            p.add_argument("--spec", required=True, help="preference spec JSON file")
+        return p
 
-    p = sub.add_parser("check-axioms", help="screen a spec against the axioms")
-    common(p, formats=("json",), default_fmt="json")
-    p.add_argument("--spec", required=True, help="preference spec JSON file")
+    p = command("check-axioms", _cmd_check_axioms, "screen a spec against the axioms", seed=True)
     p.add_argument("--alts", default=None, help="comma-separated alternative labels")
     p.add_argument("--pairs", type=int, default=1000, help="sampled pairs per axiom")
     p.add_argument("--triples", type=int, default=1000, help="sampled triples for transitivity")
     p.add_argument("--depth", type=int, default=100, help="sequence depth for continuity")
-    p.set_defaults(handler=_cmd_check_axioms)
 
-    p = sub.add_parser("build-utility", help="tabulate utilities for a RAF collection")
-    common(p, formats=("csv", "json"), default_fmt="csv")
-    p.add_argument("--spec", required=True, help="preference spec JSON file")
+    p = command(
+        "build-utility", _cmd_build_utility, "tabulate utilities for a RAF collection",
+        tol=True, formats=True,
+    )
     p.add_argument("--rafs", required=True, help="labeled RAF collection JSON file")
-    p.set_defaults(handler=_cmd_build_utility)
 
-    p = sub.add_parser("validate", help="check utilities against oracle answers")
-    common(p, formats=("json",), default_fmt="json")
-    p.add_argument("--spec", required=True, help="preference spec JSON file")
+    p = command(
+        "validate", _cmd_validate, "check utilities against oracle answers", seed=True, tol=True
+    )
     p.add_argument("--alts", default=None, help="comma-separated alternative labels")
     p.add_argument("--pairs", type=int, default=1000, help="sampled pairs to compare")
-    p.set_defaults(handler=_cmd_validate)
 
-    p = sub.add_parser("choose", help="choose from a menu, cross-validating both routes")
-    common(p, formats=("json",), default_fmt="json")
-    p.add_argument("--spec", required=True, help="preference spec JSON file")
+    p = command("choose", _cmd_choose, "choose from a menu, cross-validating both routes", tol=True)
     p.add_argument("--menu", required=True, help="menu JSON file")
-    p.set_defaults(handler=_cmd_choose)
 
-    p = sub.add_parser("demo-sequences", help="print strictly dominating sequence terms")
-    common(p, formats=("csv", "json"), default_fmt="csv")
+    p = command(
+        "demo-sequences", _cmd_demo_sequences, "print strictly dominating sequence terms",
+        spec=False, formats=True,
+    )
     p.add_argument("--alts", help="comma-separated alternative labels (default: derived from --upper)")
     p.add_argument("--upper", required=True, help="comma-separated values of the dominating RAF")
     p.add_argument("--lower", required=True, help="comma-separated values of the dominated RAF")
     p.add_argument("--terms", default="1,2,5,10", help="comma-separated term indices")
-    p.set_defaults(handler=_cmd_demo_sequences)
 
     return parser
 
@@ -435,13 +377,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except MenuAxiomError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, DominanceHypothesisError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except RafPrefError as exc:  # pragma: no cover - no other kinds today
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (RafPrefError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

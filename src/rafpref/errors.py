@@ -20,6 +20,52 @@ class ValidationError(RafPrefError, ValueError):
     """An input violates a constructor or operation contract."""
 
 
+def _real(name: str, v: object, at: str | None = None) -> float:
+    """``v`` as a float; bools, non-numbers and NaN are rejected.
+
+    ``at`` (a label within ``name``) is formatted only on failure, because
+    every coordinate of every point is checked this way.
+    """
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+        where = "" if at is None else f" at {at!r}"
+        raise ValidationError(f"{name}{where} must be a real number, got {v!r}")
+    return float(v)
+
+
+def _count(name: str, v: object, minimum: int) -> int:
+    """``v`` if it is an integer of at least ``minimum``, which is 0 or 1."""
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        kind = "positive" if minimum else "nonnegative"
+        raise ValidationError(f"{name} must be a {kind} integer, got {v!r}")
+    return v
+
+
+def _tol(v: object) -> float:
+    """A bisection tolerance in (0, 0.5], as a float."""
+    tol = _real("tolerance", v)
+    if not 0.0 < tol <= 0.5:
+        raise ValidationError(f"tolerance must lie in (0, 0.5], got {v!r}")
+    return tol
+
+
+def _labels(what: str, labels: tuple) -> None:
+    """Nonempty strings without duplicates; ``what`` names them in messages."""
+    seen: set[str] = set()
+    for label in labels:
+        if not isinstance(label, str) or not label:
+            raise ValidationError(f"{what} labels must be nonempty strings, got {label!r}")
+        if label in seen:
+            raise ValidationError(f"duplicate {what} label: {label!r}")
+        seen.add(label)
+
+
+def _sequence(name: str, v: object) -> tuple:
+    """A document field that must be a list (a JSON array), as a tuple."""
+    if not isinstance(v, (list, tuple)):
+        raise ValidationError(f"{name} must be a list, got {v!r}")
+    return tuple(v)
+
+
 class AlternativeSetMismatchError(RafPrefError, ValueError):
     """Operands are defined over different alternative sets."""
 
@@ -50,6 +96,15 @@ class DiagonalMonotonicityError(RafPrefError, RuntimeError):
         self.raf = raf
         self.t_member = t_member
         self.t_nonmember = t_nonmember
+
+    def in_context(self, context: str) -> "DiagonalMonotonicityError":
+        """The same failure with ``context`` appended to its message."""
+        return DiagonalMonotonicityError(
+            f"{self} ({context})",
+            raf=self.raf,
+            t_member=self.t_member,
+            t_nonmember=self.t_nonmember,
+        )
 
 
 class MenuAxiomError(RafPrefError, RuntimeError):

@@ -24,10 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DominanceHypothesisError, ValidationError
-from .raf import Raf, pointwise_dominates, _require_same_alts
+from .errors import DominanceHypothesisError, _count
+from .raf import Raf, pointwise_dominates
 
-__all__ = ["PerturbationSequences", "perturbation_sequences", "sequence_term"]
+__all__ = ["PerturbationSequences", "perturbation_sequences"]
 
 
 def _shrink(value: float, delta: float) -> float:
@@ -66,8 +66,7 @@ class PerturbationSequences:
 
     def term(self, n: int) -> tuple[Raf, Raf]:
         """The n-th strictly dominating pair, ``n`` counted from 1."""
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-            raise ValidationError(f"term index must be a positive integer, got {n!r}")
+        _count("term index", n, 1)
         step = 1.0 / (2.0 * n)
         at_one = set(self.at_one)
         at_zero = set(self.at_zero)
@@ -95,7 +94,6 @@ def perturbation_sequences(upper: Raf, lower: Raf) -> PerturbationSequences:
     coordinate, when ``upper`` does not pointwise dominate ``lower``.  The
     two RAFs may be equal; every coordinate is then a tie.
     """
-    _require_same_alts(upper, lower)
     if not pointwise_dominates(upper, lower):
         label, uv, lv = next(
             (l, x, y)
@@ -127,8 +125,3 @@ def perturbation_sequences(upper: Raf, lower: Raf) -> PerturbationSequences:
         tied_interior=tuple(tied_interior),
         interior_margin=margin,
     )
-
-
-def sequence_term(sequences: PerturbationSequences, n: int) -> tuple[Raf, Raf]:
-    """The n-th term of a perturbation pair; see :meth:`PerturbationSequences.term`."""
-    return sequences.term(n)

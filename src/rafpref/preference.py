@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import AlternativeSetMismatchError, ValidationError
+from .errors import AlternativeSetMismatchError, ValidationError, _real, _sequence
 from .raf import AlternativeSet, Raf
 
 __all__ = [
@@ -41,7 +41,6 @@ __all__ = [
     "PreferenceSpec",
     "PreferenceOracle",
     "build_oracle",
-    "weak_prefers",
     "strictly_prefers",
     "indifferent",
 ]
@@ -77,21 +76,16 @@ class PreferenceSpec:
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValidationError(
                 f"unknown preference kind {self.kind!r}; expected one of {sorted(KINDS)}"
             )
         if self.weights is not None:
-            for w in self.weights:
-                if isinstance(w, bool) or not isinstance(w, (int, float)):
-                    raise ValidationError(f"weights must be real numbers, got {w!r}")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+            object.__setattr__(self, "weights", tuple(_real("weight", w) for w in self.weights))
         if self.priority is not None:
             object.__setattr__(self, "priority", tuple(self.priority))
-        if self.cutoff is not None and (
-            isinstance(self.cutoff, bool) or not isinstance(self.cutoff, (int, float))
-        ):
-            raise ValidationError(f"cutoff must be a real number, got {self.cutoff!r}")
+        if self.cutoff is not None:
+            object.__setattr__(self, "cutoff", _real("cutoff", self.cutoff))
 
         for field, owner in (("weights", "additive"), ("priority", "lexicographic"), ("cutoff", "threshold")):
             if getattr(self, field) is not None and self.kind != owner:
@@ -113,9 +107,8 @@ class PreferenceSpec:
         elif self.kind == "threshold":
             if self.cutoff is None:
                 raise ValidationError("threshold preferences need a 'cutoff'")
-            if not 0.0 < float(self.cutoff) < 1.0:
+            if not 0.0 < self.cutoff < 1.0:
                 raise ValidationError(f"cutoff must lie strictly inside (0, 1), got {self.cutoff!r}")
-            object.__setattr__(self, "cutoff", float(self.cutoff))
 
     def describe(self) -> str:
         """Canonical short name, stable across runs."""
@@ -147,8 +140,8 @@ class PreferenceSpec:
             raise ValidationError(f"unexpected preference spec fields: {stray}")
         return cls(
             kind=data["kind"],
-            weights=tuple(data["weights"]) if data.get("weights") is not None else None,
-            priority=tuple(data["priority"]) if data.get("priority") is not None else None,
+            weights=_sequence("weights", data["weights"]) if data.get("weights") is not None else None,
+            priority=_sequence("priority", data["priority"]) if data.get("priority") is not None else None,
             cutoff=data.get("cutoff"),
         )
 
@@ -227,7 +220,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
 
     elif spec.kind == "lexicographic":
         priority = spec.priority or ()
-        if sorted(priority) != sorted(alts.labels):
+        if len(priority) != k or any(label not in priority for label in alts.labels):
             raise ValidationError(
                 f"priority must be a permutation of {alts.labels}, got {priority}"
             )
@@ -257,11 +250,6 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
         return key(a) >= key(b)  # type: ignore[operator]
 
     return PreferenceOracle(spec.describe(), alts, query, kind=spec.kind, key=key)
-
-
-def weak_prefers(oracle: PreferenceOracle, a: Raf, b: Raf) -> bool:
-    """Is ``a`` at least as good as ``b`` under ``oracle``?"""
-    return oracle.weak_prefers(a, b)
 
 
 def strictly_prefers(oracle: PreferenceOracle, a: Raf, b: Raf) -> bool:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import AlternativeSetMismatchError, ValidationError
+from .errors import AlternativeSetMismatchError, ValidationError, _labels, _real, _sequence
 
 __all__ = [
     "AlternativeSet",
@@ -47,14 +47,7 @@ class AlternativeSet:
             raise ValidationError(
                 f"an alternative set needs at least 2 alternatives, got {len(labels)}"
             )
-        for label in labels:
-            if not isinstance(label, str) or not label:
-                raise ValidationError(f"alternative labels must be nonempty strings, got {label!r}")
-        seen: set[str] = set()
-        for label in labels:
-            if label in seen:
-                raise ValidationError(f"duplicate alternative label: {label!r}")
-            seen.add(label)
+        _labels("alternative", labels)
 
     def index(self, label: str) -> int:
         """Position of ``label``, raising :class:`ValidationError` if unknown."""
@@ -93,9 +86,7 @@ class Raf:
             )
         values = []
         for label, v in zip(self.alts.labels, raw):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValidationError(f"availability at {label!r} must be a real number, got {v!r}")
-            v = float(v)
+            v = _real("availability", v, label)
             if not 0.0 <= v <= 1.0:
                 raise ValidationError(f"availability out of [0, 1] at {label!r}: {v!r}")
             values.append(v)
@@ -104,9 +95,6 @@ class Raf:
     def value(self, label: str) -> float:
         """Availability of a single alternative."""
         return self.values[self.alts.index(label)]
-
-    def mapping(self) -> Mapping[str, float]:
-        return dict(zip(self.alts.labels, self.values))
 
     def to_dict(self) -> dict:
         """JSON-ready form: ``{"alts": [...], "values": [...]}``."""
@@ -122,7 +110,7 @@ class Raf:
             raise ValidationError(
                 "a RAF document needs 'alts' and 'values' fields"
             ) from None
-        return cls(AlternativeSet(tuple(alts)), tuple(values))
+        return cls(AlternativeSet(_sequence("alts", alts)), tuple(values))
 
 
 def make_raf(alts: AlternativeSet, values: Sequence[float] | Iterable[float]) -> Raf:
@@ -153,9 +141,7 @@ def scale_top(t: float, alts: AlternativeSet) -> Raf:
     ``scale_top(0, alts)`` is :func:`bottom` and ``scale_top(1, alts)`` is
     :func:`top`; in between the function walks the diagonal of the cube.
     """
-    if isinstance(t, bool) or not isinstance(t, (int, float)):
-        raise ValidationError(f"diagonal parameter must be a real number, got {t!r}")
-    t = float(t)
+    t = _real("diagonal parameter", t)
     if not 0.0 <= t <= 1.0:
         raise ValidationError(f"diagonal parameter out of [0, 1]: {t!r}")
     return _diagonal(alts, t)

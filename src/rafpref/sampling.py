@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import _count
 from .raf import AlternativeSet, Raf
 
 __all__ = ["RafSampler"]
@@ -26,10 +26,8 @@ class RafSampler:
     STRICT_GAP = 1e-6
 
     def __init__(self, alts: AlternativeSet, seed: int) -> None:
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {seed!r}")
         self.alts = alts
-        self.seed = seed
+        self.seed = _count("seed", seed, 0)
         self._rng = np.random.default_rng(seed)
 
     def unit(self) -> float:

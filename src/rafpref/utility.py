@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DiagonalMonotonicityError, ValidationError
+from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
 from .preference import PreferenceOracle
 from .raf import Raf, scale_top
 from .sampling import RafSampler
@@ -37,8 +37,6 @@ __all__ = [
 
 def membership(oracle: PreferenceOracle, raf: Raf, t: float) -> bool:
     """Is the constant RAF at level ``t`` weakly preferred to ``raf``?"""
-    if isinstance(t, bool) or not isinstance(t, (int, float)) or not 0.0 <= t <= 1.0:
-        raise ValidationError(f"diagonal parameter out of [0, 1]: {t!r}")
     return oracle.weak_prefers(scale_top(t, oracle.alts), raf)
 
 
@@ -58,8 +56,7 @@ class UtilityResult:
     oracle_calls: int
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.tol <= 0.5:
-            raise ValidationError(f"tolerance must lie in (0, 0.5], got {self.tol!r}")
+        _tol(self.tol)
         if not 0.0 <= self.lo <= self.hi <= 1.0:
             raise ValidationError(f"bracket out of order: lo={self.lo!r}, hi={self.hi!r}")
         if self.u != 0.5 * (self.lo + self.hi):
@@ -68,10 +65,7 @@ class UtilityResult:
             raise ValidationError(
                 f"bracket wider than 2*tol: {self.hi - self.lo!r} > {2.0 * self.tol!r}"
             )
-        if isinstance(self.oracle_calls, bool) or not isinstance(self.oracle_calls, int):
-            raise ValidationError(f"oracle_calls must be an integer, got {self.oracle_calls!r}")
-        if self.oracle_calls < 0:
-            raise ValidationError(f"oracle_calls must be nonnegative, got {self.oracle_calls!r}")
+        _count("oracle_calls", self.oracle_calls, 0)
 
     @property
     def exact(self) -> bool:
@@ -101,9 +95,7 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     The total number of membership queries is at most
     ``2 + ceil(log2(1/tol))``.
     """
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol <= 0.5:
-        raise ValidationError(f"tolerance must lie in (0, 0.5], got {tol!r}")
-    tol = float(tol)
+    tol = _tol(tol)
     calls = 0
 
     def member(t: float) -> bool:
@@ -236,10 +228,8 @@ def validate_representation(
     zero, yielding an empty report.  A diagonal-monotonicity failure inside
     a bisection propagates, with the offending pair named.
     """
-    if isinstance(n_pairs, bool) or not isinstance(n_pairs, int) or n_pairs < 0:
-        raise ValidationError(f"n_pairs must be a nonnegative integer, got {n_pairs!r}")
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0.0 < tol <= 0.5:
-        raise ValidationError(f"tolerance must lie in (0, 0.5], got {tol!r}")
+    _count("n_pairs", n_pairs, 0)
+    tol = _tol(tol)
     confirmed = 0
     indeterminate = 0
     indeterminate_strict = 0
@@ -250,12 +240,8 @@ def validate_representation(
             u_a = compute_u(oracle, a, tol).u
             u_b = compute_u(oracle, b, tol).u
         except DiagonalMonotonicityError as exc:
-            raise DiagonalMonotonicityError(
-                f"{exc} (raised while validating the pair {a.to_dict()} vs {b.to_dict()})",
-                raf=exc.raf,
-                t_member=exc.t_member,
-                t_nonmember=exc.t_nonmember,
-            ) from exc
+            context = f"raised while validating the pair {a.to_dict()} vs {b.to_dict()}"
+            raise exc.in_context(context) from exc
         weak_ab = oracle.weak_prefers(a, b)
         weak_ba = oracle.weak_prefers(b, a)
         if abs(u_a - u_b) <= 2.0 * tol:
@@ -273,7 +259,7 @@ def validate_representation(
     return RepresentationReport(
         oracle=oracle.name,
         seed=sampler.seed,
-        tol=float(tol),
+        tol=tol,
         pairs_tested=n_pairs,
         confirmed=confirmed,
         indeterminate=indeterminate,

@@ -182,3 +182,65 @@ class TestWeakContinuity:
     def test_locus_must_be_interior(self, alts3):
         with pytest.raises(rp.ValidationError, match="strictly inside"):
             builtin_families(alts3, loci=(1.0,))
+
+
+def first_ask_oracle(alts, first, later, calls):
+    # Answers each ordered pair with ``first`` the first time it is asked
+    # and with ``later`` on every repeat, so a violation seen by a probe
+    # does not survive its replay.  Every query is counted in ``calls``.
+    seen = set()
+
+    def query(a, b):
+        calls.append((a, b))
+        if (a.values, b.values) in seen:
+            return later(a, b)
+        seen.add((a.values, b.values))
+        return first(a, b)
+
+    return PreferenceOracle("first-ask", alts, query)
+
+
+class TestReplayGuard:
+    """A witness that does not replay is dropped, at a fixed query cost."""
+
+    @staticmethod
+    def run(scenario, oracle):
+        alts3, alts2 = rp.AlternativeSet(("a", "b", "c")), rp.AlternativeSet(("a", "b"))
+        if scenario in ("reflexivity", "connectedness", "transitivity"):
+            report = check_order_axioms(oracle(alts3), RafSampler(alts3, 5), 20, 40)
+            return report.check(scenario).verdict == rp.FALSIFIED
+        if scenario == "dominance":
+            return falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20) is not None
+        return falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10) is not None
+
+    # The counts pin what probing and replaying cost on this path; a
+    # refactor of the checks must not change them.
+    @pytest.mark.parametrize(
+        "scenario, broken, queries",
+        [
+            ("reflexivity", never_oracle, 350),
+            ("connectedness", never_oracle, 350),
+            ("transitivity", cyclic_oracle, 292),
+            ("dominance", never_oracle, 63),
+            ("continuity", "lexicographic", 50),
+        ],
+    )
+    def test_unreplayed_witness_is_dropped(self, scenario, broken, queries, oracle_factory):
+        def truthful(alts):
+            return oracle_factory("additive", alts)
+
+        def flawed(alts):
+            if broken == "lexicographic":
+                return oracle_factory("lexicographic", alts, priority=alts.labels)
+            return broken(alts)
+
+        calls = []
+
+        def first_ask(alts):
+            return first_ask_oracle(
+                alts, flawed(alts).weak_prefers, truthful(alts).weak_prefers, calls
+            )
+
+        assert self.run(scenario, flawed)
+        assert not self.run(scenario, first_ask)
+        assert len(calls) == queries

@@ -49,6 +49,8 @@ class TestMenu:
     def test_from_dict_validates_shape(self):
         with pytest.raises(rp.ValidationError):
             Menu.from_dict({"alts": ["a", "b"], "items": [{"label": "x"}]})
+        with pytest.raises(rp.ValidationError, match="must be a list"):  # not split into a, b
+            Menu.from_dict({"alts": "ab", "items": [{"label": "x", "values": [0.5, 0.5]}]})
 
 
 class TestMaximalSet:

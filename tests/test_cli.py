@@ -147,6 +147,30 @@ class TestCheckAxioms:
         rc = cli.main(["check-axioms", "--spec", additive_spec, "--frobnicate"])
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"kind": "min", "alts": 5}',
+            b'{"kind": "min", "alts": "xyz"}',
+            b'{"kind": "lexicographic", "priority": 5}',
+            b'{"kind": "lexicographic", "priority": ["a", 1], "alts": ["a", "b"]}',
+            b'{"kind": "additive", "weights": 0.5}',
+            b'{"kind": "additive", "weights": [NaN, 0.5, 0.5]}',
+            b'{"kind": []}',
+            '{"kind": "min", "alts": ["\u00e9", "b"]}'.encode("latin-1"),
+        ],
+        ids=[
+            "alts-number", "alts-string", "priority-number", "priority-mixed",
+            "weights-number", "weights-nan", "kind-list", "not-utf8",
+        ],
+    )
+    def test_malformed_spec_exits_one(self, tmp_path, capsys, content):
+        spec = tmp_path / "spec.json"
+        spec.write_bytes(content)
+        rc = cli.main(["check-axioms", "--spec", str(spec), "--pairs", "5", "--triples", "5"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestBuildUtility:
     def test_csv_table(self, additive_spec, rafs_file, tmp_path, capsys):
@@ -375,6 +399,35 @@ class TestDemoSequences:
             ["demo-sequences", "--alts", "a,b", "--upper", "1.0,oops", "--lower", "0.5,0.5"]
         )
         assert rc == 1
+
+
+class TestFlags:
+    # Flags parse before any file is opened, so the paths need not exist.
+    REQUIRED = {
+        "check-axioms": ["--spec", "spec.json"],
+        "validate": ["--spec", "spec.json"],
+        "build-utility": ["--spec", "spec.json", "--rafs", "rafs.json"],
+        "choose": ["--spec", "spec.json", "--menu", "menu.json"],
+        "demo-sequences": ["--upper", "1,1", "--lower", "0,0"],
+    }
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("check-axioms", "--tol", "0.1"),
+            ("check-axioms", "--format", "json"),
+            ("validate", "--format", "json"),
+            ("build-utility", "--seed", "1"),
+            ("choose", "--seed", "1"),
+            ("choose", "--format", "json"),
+            ("demo-sequences", "--seed", "1"),
+            ("demo-sequences", "--tol", "0.1"),
+        ],
+    )
+    def test_flags_a_command_does_not_read_are_rejected(self, command, flag, value, capsys):
+        rc = cli.main([command, *self.REQUIRED[command], flag, value])
+        assert rc == 1
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestDeterminism:

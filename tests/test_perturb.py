@@ -9,7 +9,6 @@ from rafpref import (
     make_raf,
     perturbation_sequences,
     pointwise_dominates,
-    sequence_term,
     strictly_dominates,
     sup_distance,
     top,
@@ -89,11 +88,12 @@ class TestTerms:
         with pytest.raises(rp.ValidationError, match="positive"):
             seqs.term(0)
         with pytest.raises(rp.ValidationError, match="positive"):
-            sequence_term(seqs, -3)
+            seqs.term(-3)
 
-    def test_module_level_helper_matches_method(self, alts3):
+    def test_term_is_a_function_of_n(self, alts3):
         seqs = perturbation_sequences(bottom(alts3), bottom(alts3))
-        assert sequence_term(seqs, 4) == seqs.term(4)
+        assert seqs.term(4) == seqs.term(4)
+        assert seqs.term(4) != seqs.term(5)
 
 
 class TestContract:

@@ -13,7 +13,6 @@ from rafpref import (
     make_raf,
     strictly_prefers,
     top,
-    weak_prefers,
 )
 
 
@@ -29,6 +28,12 @@ class TestPreferenceSpec:
     def test_weights_must_be_positive(self):
         with pytest.raises(rp.ValidationError, match="strictly positive"):
             PreferenceSpec(kind="additive", weights=(1.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [float("nan"), "0.5", True])
+    def test_weights_must_be_real_numbers(self, bad):
+        # NaN once slipped through: abs(nan - 1) > tol is False.
+        with pytest.raises(rp.ValidationError, match="real number"):
+            PreferenceSpec(kind="additive", weights=(bad, 0.5, 0.5))
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(rp.ValidationError, match="sum to 1"):
@@ -96,14 +101,14 @@ class TestBuiltinOrders:
         oracle = oracle_factory("additive", alts2)
         a = make_raf(alts2, (0.9, 0.1))
         b = make_raf(alts2, (0.4, 0.4))
-        assert weak_prefers(oracle, a, b)
+        assert oracle.weak_prefers(a, b)
         assert strictly_prefers(oracle, a, b)
 
     def test_min_prefers_better_worst_case(self, alts2, oracle_factory):
         oracle = oracle_factory("min", alts2)
         a = make_raf(alts2, (0.9, 0.1))
         b = make_raf(alts2, (0.4, 0.4))
-        assert not weak_prefers(oracle, a, b)
+        assert not oracle.weak_prefers(a, b)
         assert strictly_prefers(oracle, b, a)
 
     def test_min_indifference_on_equal_minima(self, alts2, oracle_factory):
@@ -134,7 +139,7 @@ class TestBuiltinOrders:
 
     def test_anti_monotone_prefers_less_availability(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
-        assert weak_prefers(oracle, bottom(alts3), top(alts3))
+        assert oracle.weak_prefers(bottom(alts3), top(alts3))
         assert strictly_prefers(oracle, bottom(alts3), top(alts3))
 
     def test_threshold_rewards_meeting_the_cutoff(self, alts2, oracle_factory):
@@ -155,7 +160,7 @@ class TestBuiltinOrders:
         raf = make_raf(alts3, (0.3, 0.7, 0.5))
         for kind in sorted(rp.KINDS):
             oracle = oracle_factory(kind, alts3)
-            assert weak_prefers(oracle, raf, raf)
+            assert oracle.weak_prefers(raf, raf)
 
     def test_exactly_one_of_strict_reverse_indifferent(self, alts2, oracle_factory):
         # On a coarse grid, each ordered pair falls in exactly one bucket.

@@ -170,6 +170,8 @@ class TestSerialization:
             Raf.from_dict({"alts": ["a", "b"]})
         with pytest.raises(rp.ValidationError):
             Raf.from_dict({"alts": ["a", "b"], "values": [0.5, 1.5]})
+        with pytest.raises(rp.ValidationError, match="must be a list"):
+            Raf.from_dict({"alts": "ab", "values": [0.5, 0.5]})
 
     @given(st.lists(UNIT, min_size=2, max_size=6))
     def test_round_trip_arbitrary_values(self, values):

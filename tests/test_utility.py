@@ -226,8 +226,12 @@ class TestValidateRepresentation:
 
     def test_diagonal_failure_names_the_pair(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
-        with pytest.raises(rp.DiagonalMonotonicityError, match="while validating the pair"):
+        with pytest.raises(rp.DiagonalMonotonicityError, match="while validating the pair") as excinfo:
             validate_representation(oracle, RafSampler(alts3, SEED), 5, TOL)
+        # The added context keeps the probed data of the original failure.
+        assert excinfo.value.raf is not None
+        assert excinfo.value.t_member == 0.0
+        assert excinfo.value.t_nonmember == 1.0
 
     def test_count_validation(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
