@@ -11,13 +11,14 @@ semi-decidable: the fixed family library either exhibits a witness or says
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
-from .errors import ValidationError, _count
+from .errors import ValidationError, _count, _real
 from .preference import PreferenceOracle, strictly_prefers
-from .raf import AlternativeSet, Raf, bottom, scale_top, strictly_dominates, top
+from .raf import AlternativeSet, Raf, bottom, scale_top, top
 from .sampling import RafSampler
 
 __all__ = [
@@ -175,41 +176,37 @@ def falsify_weak_dominance(
     def not_strictly_preferred(a: Raf, b: Raf) -> bool:
         return not strictly_prefers(oracle, a, b)
 
-    sampled = [sampler.strictly_dominating_pair() for _ in range(n_pairs)]
-    candidates = (
-        pair
-        for pair in ((top(oracle.alts), bottom(oracle.alts)), *sampled)
-        if strictly_dominates(*pair)  # the sampler guarantees this
-    )
+    # Drawn lazily: sampling stops at the first replayed witness.
+    sampled = (sampler.strictly_dominating_pair() for _ in range(n_pairs))
+    candidates = chain([(top(oracle.alts), bottom(oracle.alts))], sampled)
     hit = _first_replayed(candidates, not_strictly_preferred)
     return hit[1] if hit else None
 
 
 @dataclass(frozen=True)
 class SequenceFamily:
-    """A parametric pair of RAF sequences with known limits.
+    """A parametric pair of RAF sequences together with their limits.
 
-    ``term(n)`` (``n`` from 1) yields the n-th pair; both components converge
-    to the corresponding entry of ``limits``.  Families are the probes of the
-    continuity falsifier: a witness is a family whose terms are all strictly
-    preferred one way while the limits are strictly preferred the other way.
+    ``term(n)`` (``n`` from 1) yields the n-th pair.  The limits are the
+    term at ``n = math.inf``, so a term must be written such that every part
+    that vanishes as ``n`` grows evaluates to exactly ``0.0`` there (as
+    ``1.0 / (4.0 * n)`` does).  Families are the probes of the continuity
+    falsifier: a witness is a family whose terms are all strictly preferred
+    one way while the limits are strictly preferred the other way.
     """
 
     description: str
-    term: Callable[[int], tuple[Raf, Raf]]
-    limits: tuple[Raf, Raf]
+    term: Callable[[float], tuple[Raf, Raf]]
+
+    @property
+    def limits(self) -> tuple[Raf, Raf]:
+        """The pair both sequences converge to: the term at ``n = inf``."""
+        return self.term(math.inf)
 
     def swapped(self) -> "SequenceFamily":
         """The same family with the two sides exchanged."""
         term = self.term
-
-        def swapped_term(n: int) -> tuple[Raf, Raf]:
-            a, b = term(n)
-            return b, a
-
-        return SequenceFamily(
-            f"{self.description} (swapped)", swapped_term, (self.limits[1], self.limits[0])
-        )
+        return SequenceFamily(f"{self.description} (swapped)", lambda n: term(n)[::-1])
 
 
 @dataclass(frozen=True)
@@ -221,12 +218,13 @@ class ContinuityWitness:
 
     def to_dict(self) -> dict:
         first_term = self.family.term(1)
+        limit_first, limit_second = self.family.limits
         return {
             "family": self.family.description,
             "depth": self.depth,
             "term_1": {"first": first_term[0].to_dict(), "second": first_term[1].to_dict()},
-            "limit_first": self.family.limits[0].to_dict(),
-            "limit_second": self.family.limits[1].to_dict(),
+            "limit_first": limit_first.to_dict(),
+            "limit_second": limit_second.to_dict(),
         }
 
 
@@ -239,75 +237,49 @@ def builtin_families(
     above, straddles of a diagonal locus (a constant anchor on one side of
     the locus against a ray converging to it from the other side, in both
     the low and high variants), and single-coordinate bumps against a
-    constant that differs elsewhere.  ``loci`` extends the straddled points;
-    oracles with a declared discontinuity (a threshold cutoff, say) should
-    have it included here.
+    constant that differs elsewhere.  ``loci`` lists the straddled points
+    and replaces the default ``(0.5,)``, so an oracle with a declared
+    discontinuity (a threshold cutoff, say) needs ``(0.5, cutoff)`` to keep
+    the midpoint straddled as well.
     """
     families = []
 
     for t0 in (0.25, 0.5, 0.75):
-        def term(n: int, _t0: float = t0) -> tuple[Raf, Raf]:
+        def term(n: float, _t0: float = t0) -> tuple[Raf, Raf]:
             return scale_top(_t0 + 1.0 / (4.0 * n), alts), scale_top(_t0, alts)
 
-        families.append(
-            SequenceFamily(
-                f"diagonal approach to {t0} from above",
-                term,
-                (scale_top(t0, alts), scale_top(t0, alts)),
-            )
-        )
+        families.append(SequenceFamily(f"diagonal approach to {t0} from above", term))
 
     seen = set()
     for locus in loci:
-        c = float(locus)
+        c = _real("straddle locus", locus)
         if not 0.0 < c < 1.0:
             raise ValidationError(f"straddle locus must lie strictly inside (0, 1), got {locus!r}")
         if c in seen:
             continue
         seen.add(c)
 
-        def below_term(n: int, _c: float = c) -> tuple[Raf, Raf]:
+        def below_term(n: float, _c: float = c) -> tuple[Raf, Raf]:
             return scale_top(_c / 4.0, alts), scale_top(_c * (1.0 - 1.0 / (2.0 * n)), alts)
 
-        families.append(
-            SequenceFamily(
-                f"low anchor against a ray rising to {c}",
-                below_term,
-                (scale_top(c / 4.0, alts), scale_top(c, alts)),
-            )
-        )
-
-        def above_term(n: int, _c: float = c) -> tuple[Raf, Raf]:
+        def above_term(n: float, _c: float = c) -> tuple[Raf, Raf]:
             high = _c + 3.0 * (1.0 - _c) / 4.0
             return scale_top(high, alts), scale_top(_c + (1.0 - _c) / (2.0 * n), alts)
 
-        families.append(
-            SequenceFamily(
-                f"high anchor against a ray falling to {c}",
-                above_term,
-                (scale_top(c + 3.0 * (1.0 - c) / 4.0, alts), scale_top(c, alts)),
-            )
-        )
+        families.append(SequenceFamily(f"low anchor against a ray rising to {c}", below_term))
+        families.append(SequenceFamily(f"high anchor against a ray falling to {c}", above_term))
 
     k = len(alts)
     for i, label in enumerate(alts.labels):
-        def bump_term(n: int, _i: int = i) -> tuple[Raf, Raf]:
+        def bump_term(n: float, _i: int = i) -> tuple[Raf, Raf]:
             moving = tuple(
                 (0.5 + 1.0 / (4.0 * n)) if j == _i else 0.0 for j in range(k)
             )
             anchor = tuple(0.5 if j == _i else 1.0 for j in range(k))
             return Raf(alts, moving), Raf(alts, anchor)
 
-        families.append(
-            SequenceFamily(
-                f"bump on {label} against a constant that is better elsewhere",
-                bump_term,
-                (
-                    Raf(alts, tuple(0.5 if j == i else 0.0 for j in range(k))),
-                    Raf(alts, tuple(0.5 if j == i else 1.0 for j in range(k))),
-                ),
-            )
-        )
+        description = f"bump on {label} against a constant that is better elsewhere"
+        families.append(SequenceFamily(description, bump_term))
 
     return families + [f.swapped() for f in families]
 

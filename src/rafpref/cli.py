@@ -86,13 +86,25 @@ def _generated_labels(k: int) -> tuple[str, ...]:
     return tuple(f"x{i + 1}" for i in range(k))
 
 
+def _agreed_labels(named: Mapping[str, Sequence[str] | None]) -> tuple[str, ...] | None:
+    """The labels every place in ``named`` (a flag or a file) gives, or None if none does."""
+    given = [(where, tuple(labels)) for where, labels in named.items() if labels is not None]
+    for where, labels in given[1:]:
+        if labels != given[0][1]:
+            raise ValidationError(
+                f"{given[0][0]} names the alternatives {list(given[0][1])} but {where} "
+                f"names {list(labels)}; they must be equal and in the same order"
+            )
+    return given[0][1] if given else None
+
+
 def _resolve_alts(
-    flag: str | None, file_alts: tuple[str, ...] | None, spec: PreferenceSpec
+    args: argparse.Namespace, file_alts: tuple[str, ...] | None, spec: PreferenceSpec
 ) -> AlternativeSet:
-    if flag is not None:
-        return AlternativeSet(tuple(flag.split(",")))
-    if file_alts is not None:
-        return AlternativeSet(file_alts)
+    flag = None if args.alts is None else args.alts.split(",")
+    labels = _agreed_labels({"--alts": flag, f"spec file {args.spec}": file_alts})
+    if labels is not None:
+        return AlternativeSet(labels)
     if spec.kind == "additive" and spec.weights:
         return AlternativeSet(_generated_labels(len(spec.weights)))
     if spec.kind == "lexicographic" and spec.priority:
@@ -127,7 +139,7 @@ def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mappin
 
 def _cmd_check_axioms(args: argparse.Namespace) -> int:
     spec, file_alts = _load_spec(args.spec)
-    alts = _resolve_alts(args.alts, file_alts, spec)
+    alts = _resolve_alts(args, file_alts, spec)
     oracle = build_oracle(spec, alts)
     sampler = RafSampler(alts, args.seed)
 
@@ -183,8 +195,11 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
 
 
 def _cmd_build_utility(args: argparse.Namespace) -> int:
-    spec, _ = _load_spec(args.spec)
+    spec, file_alts = _load_spec(args.spec)
     collection = Menu.from_dict(_load_json(args.rafs))
+    _agreed_labels(
+        {f"spec file {args.spec}": file_alts, f"RAF file {args.rafs}": collection.alts.labels}
+    )
     oracle = build_oracle(spec, collection.alts)
     print(
         f"note: {oracle.name} has not been screened here; run check-axioms first "
@@ -218,7 +233,7 @@ def _cmd_build_utility(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     spec, file_alts = _load_spec(args.spec)
-    alts = _resolve_alts(args.alts, file_alts, spec)
+    alts = _resolve_alts(args, file_alts, spec)
     oracle = build_oracle(spec, alts)
     sampler = RafSampler(alts, args.seed)
     report = validate_representation(oracle, sampler, args.pairs, args.tol)
@@ -234,8 +249,11 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_choose(args: argparse.Namespace) -> int:
-    spec, _ = _load_spec(args.spec)
+    spec, file_alts = _load_spec(args.spec)
     menu = Menu.from_dict(_load_json(args.menu))
+    _agreed_labels(
+        {f"spec file {args.spec}": file_alts, f"menu file {args.menu}": menu.alts.labels}
+    )
     oracle = build_oracle(spec, menu.alts)
     agreed, report = cross_validate_choice(oracle, menu, args.tol)
     payload = {
@@ -325,7 +343,10 @@ def _build_parser() -> _Parser:
         if seed:
             p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-6, help="bisection tolerance (default 1e-6)")
+            p.add_argument(
+                "--tol", type=float, default=1e-6,
+                help="bisection tolerance in [2**-54, 0.5] (default 1e-6)",
+            )
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         if formats:
             p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")

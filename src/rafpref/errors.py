@@ -9,6 +9,7 @@ and carry the witnessing data.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Set
 from typing import Any
 
 
@@ -41,10 +42,10 @@ def _count(name: str, v: object, minimum: int) -> int:
 
 
 def _tol(v: object) -> float:
-    """A bisection tolerance in (0, 0.5], as a float."""
+    """A bisection tolerance in [2**-54, 0.5]: finer levels are not exact floats."""
     tol = _real("tolerance", v)
-    if not 0.0 < tol <= 0.5:
-        raise ValidationError(f"tolerance must lie in (0, 0.5], got {v!r}")
+    if not 2.0**-54 <= tol <= 0.5:
+        raise ValidationError(f"tolerance must lie in [2**-54, 0.5] (float resolution), got {v!r}")
     return tol
 
 
@@ -60,8 +61,12 @@ def _labels(what: str, labels: tuple) -> None:
 
 
 def _sequence(name: str, v: object) -> tuple:
-    """A document field that must be a list (a JSON array), as a tuple."""
-    if not isinstance(v, (list, tuple)):
+    """An ordered collection (in a document, a JSON array), as a tuple.
+
+    Strings, mappings and sets are refused: iterating them would split a
+    word into letters, keep only the keys or lose the order.
+    """
+    if isinstance(v, (str, bytes, Mapping, Set)) or not isinstance(v, Iterable):
         raise ValidationError(f"{name} must be a list, got {v!r}")
     return tuple(v)
 

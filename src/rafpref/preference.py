@@ -66,8 +66,10 @@ class PreferenceSpec:
 
     Exactly the parameters of the chosen kind may be present: ``weights``
     for ``additive``, ``priority`` for ``lexicographic`` and ``cutoff`` for
-    ``threshold``.  Length and permutation checks that need the alternative
-    set happen in :func:`build_oracle`.
+    ``threshold``.  ``weights`` and ``priority`` are ordered collections
+    (a list, a tuple or a NumPy array); a string, mapping or set is refused.
+    Length and permutation checks that need the alternative set happen in
+    :func:`build_oracle`.
     """
 
     kind: str
@@ -81,9 +83,10 @@ class PreferenceSpec:
                 f"unknown preference kind {self.kind!r}; expected one of {sorted(KINDS)}"
             )
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(_real("weight", w) for w in self.weights))
+            weights = _sequence("weights", self.weights)
+            object.__setattr__(self, "weights", tuple(_real("weight", w) for w in weights))
         if self.priority is not None:
-            object.__setattr__(self, "priority", tuple(self.priority))
+            object.__setattr__(self, "priority", _sequence("priority", self.priority))
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", _real("cutoff", self.cutoff))
 
@@ -138,12 +141,7 @@ class PreferenceSpec:
         stray = sorted(set(data) - known)
         if stray:
             raise ValidationError(f"unexpected preference spec fields: {stray}")
-        return cls(
-            kind=data["kind"],
-            weights=_sequence("weights", data["weights"]) if data.get("weights") is not None else None,
-            priority=_sequence("priority", data["priority"]) if data.get("priority") is not None else None,
-            cutoff=data.get("cutoff"),
-        )
+        return cls(**data)
 
 
 class PreferenceOracle:

@@ -93,7 +93,8 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     :class:`DiagonalMonotonicityError` with the probed parameters.
 
     The total number of membership queries is at most
-    ``2 + ceil(log2(1/tol))``.
+    ``2 + ceil(log2(1/tol))``.  Every probed level is a dyadic rational
+    that a float holds exactly, because ``tol`` is at least ``2**-54``.
     """
     tol = _tol(tol)
     calls = 0
@@ -121,8 +122,6 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     lo, hi = 0.0, 1.0
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
         if member(mid):
             hi = mid
         else:

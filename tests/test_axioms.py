@@ -15,6 +15,7 @@ from rafpref import (
     pointwise_dominates,
     strictly_dominates,
     strictly_prefers,
+    sup_distance,
     top,
 )
 
@@ -126,6 +127,13 @@ class TestWeakDominance:
         assert strictly_dominates(a, b)
         assert not strictly_prefers(oracle, a, b)
 
+    def test_anti_monotone_draws_nothing(self, alts3, oracle_factory):
+        # The canonical pair is the witness, so no sampled pair is drawn and
+        # the sampler's next draw is a fresh sampler's first.
+        sampler = RafSampler(alts3, SEED)
+        falsify_weak_dominance(oracle_factory("anti_monotone", alts3), sampler, 1000)
+        assert sampler.unit() == RafSampler(alts3, SEED).unit()
+
     def test_needs_a_positive_pair_count(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
         with pytest.raises(rp.ValidationError, match="positive"):
@@ -179,9 +187,22 @@ class TestWeakContinuity:
                 first, second = family.term(n)
                 assert first.alts == alts3 and second.alts == alts3
 
+    @pytest.mark.parametrize("labels", [("a", "b"), ("a", "b", "c")])
+    def test_terms_approach_the_limits(self, labels):
+        # The limits are the term at n = inf; this keeps that honest.
+        families = builtin_families(rp.AlternativeSet(labels), loci=(0.5, 0.3))
+        assert len(families) == 2 * (3 + 2 * 2 + len(labels))
+        for family in families:
+            limits = family.limits
+            for n in (1, 10, 1000, 10**6):
+                for side, term in enumerate(family.term(n)):
+                    assert sup_distance(term, limits[side]) <= 1.0 / n
+
     def test_locus_must_be_interior(self, alts3):
         with pytest.raises(rp.ValidationError, match="strictly inside"):
             builtin_families(alts3, loci=(1.0,))
+        with pytest.raises(rp.ValidationError, match="real number"):
+            builtin_families(alts3, loci=("x",))
 
 
 def first_ask_oracle(alts, first, later, calls):

@@ -172,6 +172,51 @@ class TestCheckAxioms:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class TestLabelAgreement:
+    """Labels named in more than one place must be equal and in the same order."""
+
+    @pytest.mark.parametrize(
+        "labels, rc",
+        [(["x", "y", "z"], 0), (["z", "y", "x"], 1), (["x", "y"], 1)],
+        ids=["equal", "reordered", "fewer"],
+    )
+    @pytest.mark.parametrize(
+        "command, other",
+        [
+            ("check-axioms", "--alts"),
+            ("validate", "--alts"),
+            ("build-utility", "RAF file"),
+            ("choose", "menu file"),
+        ],
+    )
+    def test_labels_must_agree(self, tmp_path, capsys, command, other, labels, rc):
+        spec = {"kind": "additive", "weights": [0.6, 0.3, 0.1]}
+        points = {
+            "alts": ["x", "y", "z"],
+            "items": [{"label": "p", "values": [1.0, 0.0, 0.0]}],
+        }
+        if other == "--alts":
+            spec["alts"] = ["x", "y", "z"]
+            extra = ["--alts", ",".join(labels), "--pairs", "3"]
+            if command == "check-axioms":
+                extra += ["--triples", "3", "--depth", "2"]
+        else:
+            spec["alts"] = labels
+            flag = "--rafs" if command == "build-utility" else "--menu"
+            extra = [flag, write_json(tmp_path / "points.json", points)]
+        spec_file = write_json(tmp_path / "spec.json", spec)
+        out = tmp_path / "out"
+        assert cli.main([command, "--spec", spec_file, *extra, "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert not out.exists()
+            assert "spec file" in err and other in err and "same order" in err
+        elif command == "build-utility":
+            # The weights land on the labels they were given with: x scores 0.6.
+            u = float(out.read_text().splitlines()[1].split(",")[4])
+            assert u == pytest.approx(0.6, abs=1e-6)
+
+
 class TestBuildUtility:
     def test_csv_table(self, additive_spec, rafs_file, tmp_path, capsys):
         out = tmp_path / "table.csv"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 import rafpref as rp
@@ -34,6 +35,25 @@ class TestPreferenceSpec:
         # NaN once slipped through: abs(nan - 1) > tol is False.
         with pytest.raises(rp.ValidationError, match="real number"):
             PreferenceSpec(kind="additive", weights=(bad, 0.5, 0.5))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            {"kind": "lexicographic", "priority": 5},
+            {"kind": "lexicographic", "priority": "abc"},  # not split into a, b, c
+            {"kind": "additive", "weights": 5},
+            {"kind": "additive", "weights": {0.75, 0.25}},  # a set has no order
+        ],
+        ids=["priority-number", "priority-string", "weights-number", "weights-set"],
+    )
+    def test_parameter_lists_must_be_lists(self, params):
+        with pytest.raises(rp.ValidationError, match="must be a list"):
+            PreferenceSpec(**params)
+
+    def test_numpy_weights_are_accepted(self):
+        spec = PreferenceSpec(kind="additive", weights=np.array([0.5, 0.3, 0.2]))
+        assert spec.weights == (0.5, 0.3, 0.2)
+        assert all(type(w) is float for w in spec.weights)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(rp.ValidationError, match="sum to 1"):

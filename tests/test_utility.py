@@ -3,6 +3,8 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import rafpref as rp
 from rafpref import (
@@ -156,6 +158,60 @@ class TestComputeU:
                 u_upper = compute_u(oracle, upper, TOL).u
                 u_lower = compute_u(oracle, lower, TOL).u
                 assert u_upper + 2.0 * TOL >= u_lower
+
+
+TOL_FLOOR = 2.0**-54
+ONE_ULP_BELOW_ONE = math.nextafter(1.0, 0.0)
+ALTS3 = rp.AlternativeSet(("a", "b", "c"))
+MONOTONE = {
+    "additive": rp.PreferenceSpec(kind="additive", weights=(0.5, 0.3, 0.2)),
+    "min": rp.PreferenceSpec(kind="min"),
+    "geometric": rp.PreferenceSpec(kind="geometric"),
+    "lexicographic": rp.PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")),
+}
+COORDINATE = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.sampled_from([0.0, ONE_ULP_BELOW_ONE, 1.0])
+)
+
+
+class TestTolContract:
+    """Every tol in [2**-54, 0.5] is honoured; a finer one is refused up front."""
+
+    @given(
+        tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
+        values=st.tuples(COORDINATE, COORDINATE, COORDINATE),
+        kind=st.sampled_from(sorted(MONOTONE)),
+    )
+    @example(tol=TOL_FLOOR, values=(1.0, 1.0, 1.0), kind="min")
+    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE,) * 3, kind="min")
+    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE, 1.0, 1.0), kind="additive")
+    @example(tol=TOL_FLOOR, values=(0.99999, 1.0, 1.0), kind="min")
+    def test_bracket_and_budget_hold(self, tol, values, kind):
+        oracle = rp.build_oracle(MONOTONE[kind], ALTS3)
+        raf = make_raf(ALTS3, values)
+        result = compute_u(oracle, raf, tol)
+        assert result.hi - result.lo <= 2.0 * tol
+        assert result.oracle_calls <= call_budget(tol)
+        assert check_certificate(oracle, raf, result)
+
+    def test_the_floor_uses_55_of_56_queries(self):
+        oracle = rp.build_oracle(MONOTONE["min"], ALTS3)
+        result = compute_u(oracle, make_raf(ALTS3, (0.99999, 1.0, 1.0)), TOL_FLOOR)
+        assert (result.oracle_calls, call_budget(TOL_FLOOR)) == (55, 56)
+        assert result.lo < 0.99999 <= result.hi
+
+    @pytest.mark.parametrize("tol", [math.nextafter(TOL_FLOOR, 0.0), 1e-17, 5e-324])
+    def test_a_finer_tol_is_refused_before_any_query(self, tol):
+        calls = []
+
+        def query(a, b):
+            calls.append((a, b))
+            return min(a.values) >= min(b.values)
+
+        oracle = PreferenceOracle("counted-min", ALTS3, query)
+        with pytest.raises(rp.ValidationError, match=r"\[2\*\*-54, 0\.5\]"):
+            compute_u(oracle, make_raf(ALTS3, (0.99999, 1.0, 1.0)), tol)
+        assert calls == []
 
 
 class TestUtilityResult:
