@@ -9,6 +9,7 @@ and carry the witnessing data.
 
 from __future__ import annotations
 
+import numbers
 from collections.abc import Iterable, Mapping, Set
 from typing import Any
 
@@ -22,12 +23,16 @@ class ValidationError(RafPrefError, ValueError):
 
 
 def _real(name: str, v: object, at: str | None = None) -> float:
-    """``v`` as a float; bools, non-numbers and NaN are rejected.
+    """``v`` as a plain float; bools, non-numbers and NaN are rejected.
 
-    ``at`` (a label within ``name``) is formatted only on failure, because
-    every coordinate of every point is checked this way.
+    Any ``numbers.Real`` is accepted, NumPy scalars included.  Every
+    coordinate of every point is checked this way, so a plain float takes
+    the exact-type test first (an ABC ``isinstance`` costs several times
+    more), and ``at`` (a label within ``name``) is formatted only on failure.
     """
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or v != v:
+    if type(v) is float and v == v:
+        return v
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != v:
         where = "" if at is None else f" at {at!r}"
         raise ValidationError(f"{name}{where} must be a real number, got {v!r}")
     return float(v)

@@ -138,7 +138,8 @@ class PreferenceSpec:
         if not isinstance(data, Mapping) or "kind" not in data:
             raise ValidationError("a preference spec document needs a 'kind' field")
         known = {"kind", "weights", "priority", "cutoff"}
-        stray = sorted(set(data) - known)
+        # str orders string keys as before; repr breaks ties such as 1 and "1".
+        stray = sorted(set(data) - known, key=lambda k: (str(k), repr(k)))
         if stray:
             raise ValidationError(f"unexpected preference spec fields: {stray}")
         return cls(**data)
@@ -244,8 +245,19 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
     else:  # pragma: no cover - PreferenceSpec already rejects unknown kinds
         raise ValidationError(f"unknown preference kind {spec.kind!r}")
 
+    # A bisection asks about the same target ``b`` on every query, so the
+    # last target's key is kept.  Raf is immutable and the slot holds a strong
+    # reference, so an identity match means the key is still right; the slot
+    # is one tuple, replaced whole, so a RAF is never paired with another's key.
+    last: tuple[object, object] = (None, None)
+
     def query(a: Raf, b: Raf) -> bool:
-        return key(a) >= key(b)  # type: ignore[operator]
+        nonlocal last
+        target, target_key = last
+        if target is not b:
+            target_key = key(b)
+            last = (b, target_key)
+        return key(a) >= target_key  # type: ignore[operator]
 
     return PreferenceOracle(spec.describe(), alts, query, kind=spec.kind, key=key)
 

@@ -12,7 +12,6 @@ used by the utility construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import AlternativeSetMismatchError, ValidationError, _labels, _real, _sequence
@@ -128,11 +127,14 @@ def bottom(alts: AlternativeSet) -> Raf:
     return Raf(alts, (0.0,) * len(alts))
 
 
-@lru_cache(maxsize=65536)
 def _diagonal(alts: AlternativeSet, t: float) -> Raf:
-    # Bisections probe the same dyadic parameters over and over; caching the
-    # constant RAFs keeps the per-query cost down without changing semantics.
-    return Raf(alts, (t,) * len(alts))
+    # Unchecked: the caller guarantees that t is a float in [0, 1].  Bisections
+    # build one such point per query, so skipping the per-coordinate checks of
+    # __post_init__ is most of a query's cost.
+    point = object.__new__(Raf)
+    object.__setattr__(point, "alts", alts)
+    object.__setattr__(point, "values", (t,) * len(alts))
+    return point
 
 
 def scale_top(t: float, alts: AlternativeSet) -> Raf:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
 from .preference import PreferenceOracle
-from .raf import Raf, scale_top
+from .raf import Raf, _diagonal, scale_top
 from .sampling import RafSampler
 
 __all__ = [
@@ -100,9 +100,11 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     calls = 0
 
     def member(t: float) -> bool:
+        # Every probed t is an exact float in [0, 1], so the point is built
+        # unchecked; this is membership() without scale_top's checks.
         nonlocal calls
         calls += 1
-        return membership(oracle, raf, t)
+        return oracle.weak_prefers(_diagonal(oracle.alts, t), raf)
 
     member_at_zero = member(0.0)
     if not member(1.0):

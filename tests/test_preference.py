@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import rafpref as rp
 from rafpref import (
@@ -55,6 +57,20 @@ class TestPreferenceSpec:
         assert spec.weights == (0.5, 0.3, 0.2)
         assert all(type(w) is float for w in spec.weights)
 
+    def test_numpy_scalar_weights_and_cutoff_are_accepted(self):
+        spec = PreferenceSpec(kind="additive", weights=(np.float32(0.5), np.float64(0.25), 0.25))
+        assert spec.weights == (0.5, 0.25, 0.25)
+        assert all(type(w) is float for w in spec.weights)
+        spec = PreferenceSpec(kind="threshold", cutoff=np.float32(0.25))
+        assert spec.cutoff == 0.25 and type(spec.cutoff) is float
+
+    @pytest.mark.parametrize("bad", [np.bool_(True), np.float32("nan")])
+    def test_numpy_bools_and_nan_are_refused(self, bad):
+        with pytest.raises(rp.ValidationError, match="weight must be a real number"):
+            PreferenceSpec(kind="additive", weights=(bad, 0.5, 0.5))
+        with pytest.raises(rp.ValidationError, match="cutoff must be a real number"):
+            PreferenceSpec(kind="threshold", cutoff=bad)
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(rp.ValidationError, match="sum to 1"):
             PreferenceSpec(kind="additive", weights=(0.5, 0.6))
@@ -89,6 +105,15 @@ class TestPreferenceSpec:
     def test_from_dict_rejects_stray_fields(self):
         with pytest.raises(rp.ValidationError, match="unexpected"):
             PreferenceSpec.from_dict({"kind": "min", "gamma": 2})
+
+    def test_from_dict_rejects_stray_fields_of_mixed_types(self):
+        # Sorting 1 and "x" together once raised TypeError.
+        with pytest.raises(rp.ValidationError, match=r"unexpected preference spec fields: \[1, 'x'\]"):
+            PreferenceSpec.from_dict({"kind": "min", 1: 2, "x": 3})
+
+    def test_stray_string_fields_keep_their_order(self):
+        with pytest.raises(rp.ValidationError, match=r"\['a', 'a b', 'b'\]"):
+            PreferenceSpec.from_dict({"kind": "min", "b": 0, "a b": 0, "a": 0})
 
 
 class TestBuildOracle:
@@ -204,3 +229,57 @@ class TestBuiltinOrders:
             for _ in range(50):
                 a, b = sampler.raf(), sampler.raf()
                 assert oracle.weak_prefers(a, b) == (oracle.key(a) >= oracle.key(b))
+
+
+SPECS = {
+    "additive": PreferenceSpec(kind="additive", weights=(0.5, 0.3, 0.2)),
+    "min": PreferenceSpec(kind="min"),
+    "geometric": PreferenceSpec(kind="geometric"),
+    "lexicographic": PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")),
+    "anti_monotone": PreferenceSpec(kind="anti_monotone"),
+    "threshold": PreferenceSpec(kind="threshold", cutoff=0.5),
+}
+UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_value=1.0)
+
+
+class TestQueryMemo:
+    """The built-in query keeps the last target's key; answers must not change."""
+
+    @given(
+        kind=st.sampled_from(sorted(SPECS)),
+        pool=st.lists(st.tuples(UNIT, UNIT, UNIT), min_size=1, max_size=6),
+        queries=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 5), st.booleans()), max_size=40
+        ),
+    )
+    def test_answers_match_the_key_comparison(self, kind, pool, queries):
+        alts = rp.AlternativeSet(("a", "b", "c"))
+        oracle = build_oracle(SPECS[kind], alts)
+        rafs = [make_raf(alts, values) for values in pool]
+        for i, j, copy in queries:
+            a, b = rafs[i % len(rafs)], rafs[j % len(rafs)]
+            if copy:  # equal values, a distinct object: the memo must not care
+                b = make_raf(alts, b.values)
+            assert oracle.weak_prefers(a, b) == (oracle.key(a) >= oracle.key(b))
+            assert oracle.weak_prefers(b, a) == (oracle.key(b) >= oracle.key(a))
+
+    def test_a_query_inside_a_key_computation(self, alts2, oracle_factory):
+        # Another thread may query while this one is computing b's key, and
+        # replace the slot in between; the slot must still never pair one RAF
+        # with another RAF's key.  Reading ``values`` runs that query here.
+        oracle = oracle_factory("additive", alts2)
+        low, mid = make_raf(alts2, (0.2, 0.2)), make_raf(alts2, (0.5, 0.5))
+        interrupts = []
+
+        class Interrupting(rp.Raf):
+            def __getattribute__(self, name):
+                if name == "values" and interrupts:
+                    interrupts.pop()()
+                return super().__getattribute__(name)
+
+        high = Interrupting(alts2, (0.8, 0.8))
+        interrupts.append(lambda: oracle.weak_prefers(mid, low))
+        assert not oracle.weak_prefers(mid, high)
+        assert interrupts == []
+        assert oracle.weak_prefers(mid, low)
+        assert not oracle.weak_prefers(mid, high)

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -77,6 +79,17 @@ class TestRafConstruction:
         assert raf.values == (0.0, 1.0, 1.0)
         assert all(isinstance(v, float) for v in raf.values)
 
+    def test_numpy_scalars_accepted_as_plain_floats(self, alts3):
+        raf = Raf(alts3, (np.float32(0.5), np.int64(1), np.float64(0.25)))
+        assert raf.values == (0.5, 1.0, 0.25)
+        assert all(type(v) is float for v in raf.values)
+        assert raf == make_raf(alts3, (0.5, 1.0, 0.25))
+
+    @pytest.mark.parametrize("bad", [True, np.bool_(True), np.float32("nan"), None, 1j])
+    def test_bools_nan_and_non_reals_rejected(self, alts3, bad):
+        with pytest.raises(rp.ValidationError, match="at 'b' must be a real number"):
+            make_raf(alts3, (0.5, bad, 0.5))
+
 
 class TestCorners:
     def test_top_and_bottom(self, alts3):
@@ -93,6 +106,23 @@ class TestCorners:
             scale_top(1.5, alts3)
         with pytest.raises(rp.ValidationError):
             scale_top(-0.2, alts3)
+        for bad in (float("nan"), True, "0.5", None, np.float32(2.0)):
+            with pytest.raises(rp.ValidationError, match="diagonal parameter"):
+                scale_top(bad, alts3)
+
+    @pytest.mark.parametrize("t", [0.0, 2.0**-54, 0.3, 0.5, 1.0, 1, np.float32(0.5), np.int64(1)])
+    def test_scale_top_is_the_checked_constant_point(self, alts5, t):
+        # scale_top builds its point without Raf's per-coordinate checks; it
+        # must still be indistinguishable from the checked construction.
+        point, checked = scale_top(t, alts5), Raf(alts5, (t,) * 5)
+        assert type(point) is Raf
+        assert point == checked and hash(point) == hash(checked)
+        assert point.values == checked.values == (float(t),) * 5
+        assert all(type(v) is float for v in point.values)
+        assert point.alts is alts5
+        assert point.to_dict() == checked.to_dict()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            point.values = (0.0,) * 5
 
 
 class TestDominance:

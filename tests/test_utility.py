@@ -214,6 +214,46 @@ class TestTolContract:
         assert calls == []
 
 
+BISECTING = {
+    "additive": rp.PreferenceSpec(kind="additive", weights=(0.3, 0.25, 0.2, 0.15, 0.1)),
+    "min": rp.PreferenceSpec(kind="min"),
+    "geometric": rp.PreferenceSpec(kind="geometric"),
+    "lexicographic": rp.PreferenceSpec(kind="lexicographic", priority=("c", "a", "e", "b", "d")),
+    "threshold": rp.PreferenceSpec(kind="threshold", cutoff=0.4),
+}
+POINTS = {
+    "interior": (0.3, 0.7, 0.5, 0.9, 0.2),
+    "zero-coordinate": (0.0, 0.6, 0.4, 0.8, 0.5),
+    "one-coordinate": (1.0, 0.6, 0.4, 0.8, 0.5),
+    "all-ones": (1.0,) * 5,
+    "diagonal": (0.375,) * 5,
+}
+
+
+class TestQueryCount:
+    """Each membership probe is exactly one ``weak_prefers`` call."""
+
+    @pytest.mark.parametrize("tol", [1e-6, 1e-9, TOL_FLOOR], ids=["1e-6", "1e-9", "2**-54"])
+    @pytest.mark.parametrize("point", sorted(POINTS))
+    @pytest.mark.parametrize("kind", sorted(BISECTING))
+    def test_counted_queries_equal_oracle_calls(self, monkeypatch, alts5, kind, point, tol):
+        counted = []
+        query = PreferenceOracle.weak_prefers
+
+        def weak_prefers(self, a, b):
+            counted.append((a, b))
+            return query(self, a, b)
+
+        monkeypatch.setattr(PreferenceOracle, "weak_prefers", weak_prefers)
+        oracle = rp.build_oracle(BISECTING[kind], alts5)
+        raf = make_raf(alts5, POINTS[point])
+        result = compute_u(oracle, raf, tol)
+        assert len(counted) == result.oracle_calls <= call_budget(tol)
+        for probe, target in counted:
+            assert target is raf
+            assert probe == scale_top(probe.values[0], alts5)
+
+
 class TestUtilityResult:
     def test_invariants_are_enforced(self):
         with pytest.raises(rp.ValidationError, match="midpoint"):
