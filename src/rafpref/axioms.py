@@ -117,8 +117,8 @@ def check_order_axioms(
     uses ``n_triples`` triples with all six ordered queries cached.  The
     first violation of each axiom is re-queried before it is reported.
     """
-    _count("n_pairs", n_pairs, 1)
-    _count("n_triples", n_triples, 1)
+    n_pairs = _count("n_pairs", n_pairs, 1)
+    n_triples = _count("n_triples", n_triples, 1)
     weak = oracle.weak_prefers
 
     def irreflexive(a: Raf) -> bool:
@@ -171,7 +171,7 @@ def falsify_weak_dominance(
     probed first; ``n_pairs`` sampled strictly dominating pairs follow.
     Returns the witnessing pair, or ``None`` when no violation was seen.
     """
-    _count("n_pairs", n_pairs, 1)
+    n_pairs = _count("n_pairs", n_pairs, 1)
 
     def not_strictly_preferred(a: Raf, b: Raf) -> bool:
         return not strictly_prefers(oracle, a, b)
@@ -296,7 +296,7 @@ def falsify_weak_continuity(
     limit.  ``None`` means "not falsified at this depth" and must not be read
     as a verification: the library is a fixed net, not a dense one.
     """
-    _count("depth", depth, 1)
+    depth = _count("depth", depth, 1)
 
     def reverses_in_the_limit(family: SequenceFamily) -> bool:
         limit_first, limit_second = family.limits

@@ -39,11 +39,15 @@ def _real(name: str, v: object, at: str | None = None) -> float:
 
 
 def _count(name: str, v: object, minimum: int) -> int:
-    """``v`` if it is an integer of at least ``minimum``, which is 0 or 1."""
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+    """``v`` as a plain int if it is an integer of at least ``minimum`` (0 or 1).
+
+    Any ``numbers.Integral`` except ``bool`` is accepted, NumPy integers
+    included, so counts that reach a report serialize as JSON numbers.
+    """
+    if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
         kind = "positive" if minimum else "nonnegative"
         raise ValidationError(f"{name} must be a {kind} integer, got {v!r}")
-    return v
+    return int(v)
 
 
 def _tol(v: object) -> float:

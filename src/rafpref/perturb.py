@@ -66,7 +66,7 @@ class PerturbationSequences:
 
     def term(self, n: int) -> tuple[Raf, Raf]:
         """The n-th strictly dominating pair, ``n`` counted from 1."""
-        _count("term index", n, 1)
+        n = _count("term index", n, 1)
         step = 1.0 / (2.0 * n)
         at_one = set(self.at_one)
         at_zero = set(self.at_zero)

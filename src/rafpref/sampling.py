@@ -28,7 +28,7 @@ class RafSampler:
     def __init__(self, alts: AlternativeSet, seed: int) -> None:
         self.alts = alts
         self.seed = _count("seed", seed, 0)
-        self._rng = np.random.default_rng(seed)
+        self._rng = np.random.default_rng(self.seed)
 
     def unit(self) -> float:
         """One uniform draw from [0, 1)."""

@@ -4,11 +4,12 @@ For an oracle satisfying weak dominance and weak continuity, the set of
 diagonal parameters ``{t : scale_top(t) is weakly preferred to A}`` is a
 closed up-set of [0, 1] containing 1, so its greatest lower bound ``u(A)``
 is well defined and represents the preference: ``A`` is weakly preferred to
-``B`` exactly when ``u(A) >= u(B)``.  :func:`compute_u` locates that bound by
-bisection on the membership predicate and returns it together with the
-bracket that certifies it.
+``B`` exactly when ``u(A) >= u(B)``.  :func:`compute_u` locates that bound
+with the membership predicate, in the cell an oracle's diagonal hint names,
+else by bisection, and returns it together with the bracket that certifies
+it.
 
-Nothing here assumes the hypotheses silently.  The bisection always probes
+Nothing here assumes the hypotheses silently.  :func:`compute_u` always probes
 both ends of the ray and raises :class:`DiagonalMonotonicityError` when the
 full-availability point fails the membership test, and
 :func:`validate_representation` measures how well the computed utilities
@@ -17,6 +18,7 @@ reproduce the oracle's answers on sampled pairs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
@@ -83,7 +85,7 @@ class UtilityResult:
 
 
 def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
-    """Bisect the diagonal membership predicate down to a ``2 * tol`` bracket.
+    """Locate the diagonal membership boundary in a ``2 * tol`` bracket.
 
     Both ends of the ray are probed first.  If level 0 is already a member
     the answer is exactly 0; if the target is the all-ones RAF the answer is
@@ -92,12 +94,25 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     the weak-dominance hypothesis and raises
     :class:`DiagonalMonotonicityError` with the probed parameters.
 
-    The total number of membership queries is at most
-    ``2 + ceil(log2(1/tol))``.  Every probed level is a dyadic rational
-    that a float holds exactly, because ``tol`` is at least ``2**-54``.
+    Otherwise the bracket is the hinted cell, else bisection's.  Bisection
+    of an up-set always ends in the same dyadic cell ``[(j-1)w, jw]``, where
+    ``w`` is the largest power of two ``<= 2 * tol``.  When the oracle has a
+    ``diagonal`` hint, the cell holding it is probed first: the end nearer
+    1/2, then the other end only if the first answer agrees with the hint.
+    Two agreeing answers certify the cell.  On a miss the bisection runs
+    from ``[0, 1]`` and skips every midpoint whose answer follows from a
+    level already probed.  So ``u``, ``lo`` and ``hi`` are bisection's, and
+    the total number of membership queries is at most
+    ``2 + ceil(log2(1/tol))`` either way.  A NaN, infinite or out-of-range
+    hint counts as none, and none is asked for when ``w >= 1/4``, where
+    bisection needs two probes or fewer.  Every probed level is a dyadic
+    rational that a float holds exactly, because ``tol`` is at least
+    ``2**-54``.
     """
     tol = _tol(tol)
     calls = 0
+    # The lowest level known to be a member and the highest known not to be.
+    yes, no = 1.0, 0.0
 
     def member(t: float) -> bool:
         # Every probed t is an exact float in [0, 1], so the point is built
@@ -105,6 +120,20 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
         nonlocal calls
         calls += 1
         return oracle.weak_prefers(_diagonal(oracle.alts, t), raf)
+
+    def probe(t: float) -> bool:
+        # Only levels strictly between ``no`` and ``yes`` are asked, so no
+        # answer can contradict an earlier one.
+        nonlocal yes, no
+        if t >= yes:
+            return True
+        if t <= no:
+            return False
+        if member(t):
+            yes = t
+            return True
+        no = t
+        return False
 
     member_at_zero = member(0.0)
     if not member(1.0):
@@ -121,10 +150,23 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     if all(v == 1.0 for v in raf.values):
         return UtilityResult(u=1.0, lo=1.0, hi=1.0, tol=tol, oracle_calls=calls)
 
-    lo, hi = 0.0, 1.0
+    width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
+    hint = oracle.diagonal(raf) if oracle.diagonal is not None and width < 0.25 else None
+    if hint is not None and 0.0 <= hint <= 1.0:
+        hi = max(math.ceil(hint / width), 1) * width
+        lo = hi - width
+        # The end nearer 1/2 goes first.  If it contradicts the hint, the
+        # other end's answer follows from it and costs nothing; if the other
+        # end does, bisection's first midpoint, 1/2, follows from that.  So a
+        # wrong hint costs at most one query.
+        near, far = (hi, lo) if hi <= 0.5 else (lo, hi)
+        probe(near)
+        probe(far)
+
+    lo, hi = (no, yes) if yes - no <= width else (0.0, 1.0)
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
-        if member(mid):
+        if probe(mid):
             hi = mid
         else:
             lo = mid
@@ -222,14 +264,14 @@ def validate_representation(
 ) -> RepresentationReport:
     """Compare computed utilities with direct oracle answers on sampled pairs.
 
-    Each pair costs two bisections plus two preference queries.  A pair is
+    Each pair costs two utility computations plus two preference queries.  A pair is
     confirmed when the utilities are separated by more than ``2 * tol`` and
     the oracle's two answers match the sign of the separation exactly; any
     mismatch is recorded as a violation with full data.  ``n_pairs`` may be
     zero, yielding an empty report.  A diagonal-monotonicity failure inside
-    a bisection propagates, with the offending pair named.
+    a utility computation propagates, with the offending pair named.
     """
-    _count("n_pairs", n_pairs, 0)
+    n_pairs = _count("n_pairs", n_pairs, 0)
     tol = _tol(tol)
     confirmed = 0
     indeterminate = 0

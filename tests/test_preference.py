@@ -138,7 +138,42 @@ class TestBuildOracle:
     def test_names_are_stable(self, alts2):
         oracle = build_oracle(PreferenceSpec(kind="additive", weights=(0.5, 0.5)), alts2)
         assert oracle.name == "additive[0.5,0.5]"
-        assert oracle.kind == "additive"
+
+    @pytest.mark.parametrize(
+        "spec, hint",
+        [
+            (
+                PreferenceSpec(kind="additive", weights=(0.5, 0.3, 0.2)),
+                0.5 * 0.9 + 0.3 * 0.4 + 0.2 * 0.7,
+            ),
+            (PreferenceSpec(kind="min"), 0.4),
+            (PreferenceSpec(kind="geometric"), (0.9 * 0.4 * 0.7) ** (1 / 3)),
+            (PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")), 0.4),
+            (PreferenceSpec(kind="threshold", cutoff=0.25), (0.9 + 0.4 + 0.7) / 3),
+            (PreferenceSpec(kind="threshold", cutoff=0.8), 0.0),  # below the cutoff
+            (PreferenceSpec(kind="anti_monotone"), None),
+        ],
+        ids=[
+            "additive", "min", "geometric", "lexicographic",
+            "threshold-above", "threshold-below", "anti_monotone",
+        ],
+    )
+    def test_diagonal_hint_is_the_closed_form(self, alts3, spec, hint):
+        oracle = build_oracle(spec, alts3)
+        if hint is None:
+            assert oracle.diagonal is None
+            return
+        assert oracle.diagonal(make_raf(alts3, (0.9, 0.4, 0.7))) == pytest.approx(hint, abs=1e-15)
+        for t in (0.0, 0.3, 0.375, 0.9, 1.0):
+            level = t if spec.cutoff is None or t >= spec.cutoff else 0.0
+            assert oracle.diagonal(rp.scale_top(t, alts3)) == pytest.approx(level, abs=1e-15)
+
+    def test_kind_views_follow_the_table(self):
+        assert rp.KINDS == {
+            "additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"
+        }
+        assert rp.WEAKLY_DOMINANT_KINDS == {"additive", "min", "geometric", "lexicographic"}
+        assert rp.WEAKLY_CONTINUOUS_KINDS == {"additive", "min", "geometric", "anti_monotone"}
 
 
 class TestBuiltinOrders:

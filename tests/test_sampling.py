@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import rafpref as rp
@@ -21,6 +22,16 @@ def test_seed_must_be_a_nonnegative_integer(alts3):
         RafSampler(alts3, -1)
     with pytest.raises(rp.ValidationError):
         RafSampler(alts3, 0.5)
+
+
+def test_numpy_integer_seeds_are_plain_ints(alts3):
+    sampler = RafSampler(alts3, np.int64(1))
+    assert type(sampler.seed) is int and sampler.seed == 1
+    assert sampler.rafs(3) == RafSampler(alts3, 1).rafs(3)
+    with pytest.raises(rp.ValidationError, match="nonnegative integer"):
+        RafSampler(alts3, np.bool_(True))
+    with pytest.raises(rp.ValidationError, match="nonnegative integer"):
+        RafSampler(alts3, np.int64(-1))
 
 
 def test_strictly_dominating_pairs_hold_everywhere(alts5):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import json
 import math
+import operator
+import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -27,6 +31,12 @@ TOL = 1e-6
 
 def call_budget(tol: float) -> int:
     return 2 + math.ceil(math.log2(1.0 / tol))
+
+
+def hintless(oracle: PreferenceOracle) -> PreferenceOracle:
+    """The same oracle without its diagonal hint, so ``compute_u`` bisects."""
+    oracle.diagonal = None
+    return oracle
 
 
 class FixedSampler:
@@ -112,7 +122,7 @@ class TestComputeU:
                 compute_u(oracle, top(alts3), bad)
 
     def test_wide_tolerance_yields_the_trivial_bracket(self, alts3, oracle_factory):
-        oracle = oracle_factory("additive", alts3)
+        oracle = hintless(oracle_factory("additive", alts3))
         result = compute_u(oracle, make_raf(alts3, (0.9, 0.5, 0.1)), 0.5)
         assert (result.lo, result.hi, result.u) == (0.0, 1.0, 0.5)
         assert result.oracle_calls == 2
@@ -195,7 +205,7 @@ class TestTolContract:
         assert check_certificate(oracle, raf, result)
 
     def test_the_floor_uses_55_of_56_queries(self):
-        oracle = rp.build_oracle(MONOTONE["min"], ALTS3)
+        oracle = hintless(rp.build_oracle(MONOTONE["min"], ALTS3))
         result = compute_u(oracle, make_raf(ALTS3, (0.99999, 1.0, 1.0)), TOL_FLOOR)
         assert (result.oracle_calls, call_budget(TOL_FLOOR)) == (55, 56)
         assert result.lo < 0.99999 <= result.hi
@@ -230,28 +240,198 @@ POINTS = {
 }
 
 
+def counted_probes(monkeypatch, oracle, raf, tol):
+    """Run ``compute_u`` with every ``weak_prefers`` call recorded."""
+    counted = []
+    query = PreferenceOracle.weak_prefers
+
+    def weak_prefers(self, a, b):
+        counted.append((a, b))
+        return query(self, a, b)
+
+    monkeypatch.setattr(PreferenceOracle, "weak_prefers", weak_prefers)
+    return compute_u(oracle, raf, tol), counted
+
+
+QUERY_COUNT_CASES = [
+    pytest.mark.parametrize("kind", sorted(BISECTING)),
+    pytest.mark.parametrize("point", sorted(POINTS)),
+    pytest.mark.parametrize("tol", [1e-6, 1e-9, TOL_FLOOR], ids=["1e-6", "1e-9", "2**-54"]),
+]
+
+
 class TestQueryCount:
-    """Each membership probe is exactly one ``weak_prefers`` call."""
+    """Each membership probe of the bisection is exactly one ``weak_prefers`` call."""
 
-    @pytest.mark.parametrize("tol", [1e-6, 1e-9, TOL_FLOOR], ids=["1e-6", "1e-9", "2**-54"])
-    @pytest.mark.parametrize("point", sorted(POINTS))
-    @pytest.mark.parametrize("kind", sorted(BISECTING))
+    pytestmark = QUERY_COUNT_CASES
+
+    @staticmethod
+    def oracle(spec, alts):
+        return hintless(rp.build_oracle(spec, alts))
+
     def test_counted_queries_equal_oracle_calls(self, monkeypatch, alts5, kind, point, tol):
-        counted = []
-        query = PreferenceOracle.weak_prefers
-
-        def weak_prefers(self, a, b):
-            counted.append((a, b))
-            return query(self, a, b)
-
-        monkeypatch.setattr(PreferenceOracle, "weak_prefers", weak_prefers)
-        oracle = rp.build_oracle(BISECTING[kind], alts5)
+        oracle = self.oracle(BISECTING[kind], alts5)
         raf = make_raf(alts5, POINTS[point])
-        result = compute_u(oracle, raf, tol)
+        result, counted = counted_probes(monkeypatch, oracle, raf, tol)
         assert len(counted) == result.oracle_calls <= call_budget(tol)
         for probe, target in counted:
             assert target is raf
             assert probe == scale_top(probe.values[0], alts5)
+        assert len({probe.values[0] for probe, _ in counted}) == len(counted)
+
+
+class TestHintedQueryCount(TestQueryCount):
+    """The hint is not a query: each probe of the hinted cell is one call too."""
+
+    oracle = staticmethod(rp.build_oracle)
+
+
+HINTED = {**MONOTONE, "threshold": rp.PreferenceSpec(kind="threshold", cutoff=0.4)}
+DYADIC = st.integers(0, 54).flatmap(lambda n: st.integers(0, 2**n).map(lambda j: j / 2**n))
+POINT3 = st.one_of(
+    st.tuples(COORDINATE, COORDINATE, COORDINATE),
+    st.one_of(COORDINATE, DYADIC).map(lambda t: (t,) * 3),  # diagonal points
+)
+ALTS2 = rp.AlternativeSet(("x", "y"))
+INSIDE = make_raf(ALTS2, (0.5, 0.5))  # not the all-ones point, so nothing ends early
+
+
+def up_set(level: float, closed: bool, hint: float | None) -> PreferenceOracle:
+    """A model that reads only the level: membership holds from ``level`` up."""
+    compare = operator.ge if closed else operator.gt
+    diagonal = None if hint is None else (lambda raf: hint)
+    return PreferenceOracle(
+        "up-set", ALTS2, lambda a, b: compare(a.values[0], level), diagonal=diagonal
+    )
+
+
+def bracket(result: UtilityResult) -> tuple[float, float, float]:
+    return result.u, result.lo, result.hi
+
+
+class TestHintedCell:
+    """The hint changes how many queries are made, never the bracket."""
+
+    @given(
+        tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
+        values=POINT3,
+        kind=st.sampled_from(sorted(HINTED)),
+    )
+    @example(tol=TOL_FLOOR, values=(1.0, 1.0, 1.0), kind="geometric")
+    @example(tol=TOL_FLOOR, values=(0.0, 0.5, 1.0), kind="additive")
+    @example(tol=1e-9, values=(0.375,) * 3, kind="threshold")
+    @example(tol=1e-9, values=(0.4,) * 3, kind="threshold")
+    @example(tol=2.0**-10, values=(0.5,) * 3, kind="min")
+    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE, 1.0, 1.0), kind="lexicographic")
+    def test_bracket_equals_bisection(self, tol, values, kind):
+        raf = make_raf(ALTS3, values)
+        hinted = compute_u(rp.build_oracle(HINTED[kind], ALTS3), raf, tol)
+        plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
+        assert bracket(hinted) == bracket(plain)
+        assert hinted.oracle_calls <= call_budget(tol)
+
+    @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+    @pytest.mark.parametrize("scale", [0.5, 0.7], ids=["power-of-two", "not"])
+    @pytest.mark.parametrize("cells", [4, 8, 32, 512])
+    def test_probe_rule_on_every_cell(self, cells, scale, closed):
+        # tol = scale * w gives cells of width w either way; every hinted
+        # cell is named by its centre, cells 0 and cells + 1 lying outside
+        # [0, 1].  At 512 cells only the hints next to the true cell, around
+        # 1/2 and outside are tried, to keep the test short.
+        width = 1.0 / cells
+        tol = scale * width
+        for i in range(1, cells + 1):
+            for quarter in range(4):
+                level = (i - 1 + quarter / 4) * width
+                if not closed and level == 1.0:
+                    continue
+                plain = compute_u(up_set(level, closed, None), INSIDE, tol)
+                hinted_cells = range(cells + 2) if cells <= 32 else {
+                    i - 1, i, i + 1, 0, cells // 2, cells // 2 + 1, cells + 1
+                }
+                for cell in hinted_cells:
+                    oracle = up_set(level, closed, (cell - 0.5) * width)
+                    result = compute_u(oracle, INSIDE, tol)
+                    assert bracket(result) == bracket(plain), (level, cell)
+                    assert result.oracle_calls <= call_budget(tol), (level, cell)
+
+    @given(
+        tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
+        values=POINT3,
+        kind=st.sampled_from(sorted(HINTED)),
+        hint=st.one_of(
+            st.floats(allow_nan=True, allow_infinity=True),
+            st.floats(min_value=0.0, max_value=1.0),
+        ),
+    )
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="additive", hint=math.nan)
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="min", hint=math.inf)
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="geometric", hint=-math.inf)
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="lexicographic", hint=-0.5)
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="threshold", hint=2.0)
+    def test_a_bad_hint_keeps_the_bracket_and_the_budget(self, tol, values, kind, hint):
+        raf = make_raf(ALTS3, values)
+        oracle = rp.build_oracle(HINTED[kind], ALTS3)
+        oracle.diagonal = lambda _: hint
+        result = compute_u(oracle, raf, tol)
+        plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
+        assert bracket(result) == bracket(plain)
+        assert result.oracle_calls <= call_budget(tol)
+        if not 0.0 <= hint <= 1.0:  # no hint at all
+            assert result.oracle_calls == plain.oracle_calls
+
+    def test_no_hint_is_asked_for_a_wide_tol(self, alts3, oracle_factory):
+        oracle = oracle_factory("additive", alts3)
+        asked = []
+        oracle.diagonal = lambda raf: asked.append(raf) or 0.5
+        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        for tol in (0.5, 0.25, 0.125):  # two probes or fewer after the ends
+            assert compute_u(oracle, raf, tol).oracle_calls <= 4
+        assert asked == []
+        compute_u(oracle, raf, 0.1)
+        assert asked == [raf]
+
+    def test_a_contradiction_raises_with_both_levels(self, alts3):
+        # Membership at 0 implies membership everywhere above it; the
+        # probe at 1 contradicts that before the hint is asked for.
+        asked = []
+        oracle = PreferenceOracle(
+            "member-only-at-0",
+            alts3,
+            lambda a, b: a.values[0] == 0.0,
+            diagonal=lambda raf: asked.append(raf) or 0.5,
+        )
+        with pytest.raises(rp.DiagonalMonotonicityError) as excinfo:
+            compute_u(oracle, make_raf(alts3, (0.3, 0.6, 0.9)), TOL)
+        assert (excinfo.value.t_member, excinfo.value.t_nonmember) == (0.0, 1.0)
+        assert asked == []
+
+    @given(
+        seed=st.integers(0, 2**32),
+        tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
+        hint=st.floats(min_value=-0.25, max_value=1.25),
+    )
+    def test_no_probe_can_contradict_an_earlier_answer(self, seed, tol, hint):
+        # An arbitrary, non-monotone membership: every interior level is
+        # asked only while its answer does not follow from earlier ones, so
+        # no answer can contradict another, and the bracket's ends are
+        # answered levels.
+        asked = {0.0: False, 1.0: True}
+
+        def query(a, b):
+            t = a.values[0]
+            if t not in asked:
+                yes = min(level for level, answer in asked.items() if answer)
+                no = max(level for level, answer in asked.items() if not answer)
+                assert no < t < yes
+                asked[t] = random.Random(f"{seed}:{t!r}").random() < 0.5
+            return asked[t]
+
+        oracle = PreferenceOracle("coin", ALTS2, query, diagonal=lambda raf: hint)
+        result = compute_u(oracle, INSIDE, tol)
+        # The ends were seeded and are asked once each, like every other level.
+        assert result.oracle_calls == len(asked) <= call_budget(tol)
+        assert asked[result.hi] and not asked[result.lo]
 
 
 class TestUtilityResult:
@@ -333,6 +513,12 @@ class TestValidateRepresentation:
         oracle = oracle_factory("min", alts3)
         with pytest.raises(rp.ValidationError, match="nonnegative"):
             validate_representation(oracle, RafSampler(alts3, SEED), -1, TOL)
+
+    def test_numpy_pair_count_is_a_plain_int(self, alts3, oracle_factory):
+        oracle = oracle_factory("min", alts3)
+        report = validate_representation(oracle, RafSampler(alts3, SEED), np.int64(3), TOL)
+        assert type(report.pairs_tested) is int and report.pairs_tested == 3
+        assert json.loads(json.dumps(report.to_dict()))["pairs_tested"] == 3
 
     def test_report_serializes(self, alts3, oracle_factory):
         oracle = oracle_factory("geometric", alts3)
