@@ -152,19 +152,25 @@ class _Kind:
 
 _KINDS = {
     "additive": _Kind(
-        _additive, True, True, level=lambda s, k: s,
+        _additive, dominant=True, continuous=True, level=lambda s, k: s,
         param="weights", check=_check_weights, show=lambda ws: ",".join(repr(w) for w in ws),
     ),
-    "min": _Kind(lambda _, alts: _worst, True, True, level=lambda s, k: s),
-    "geometric": _Kind(lambda _, alts: _product, True, True, level=lambda p, k: p ** (1.0 / k)),
+    "min": _Kind(
+        lambda _, alts: _worst, dominant=True, continuous=True, level=lambda s, k: s
+    ),
+    "geometric": _Kind(
+        lambda _, alts: _product, dominant=True, continuous=True,
+        level=lambda p, k: p ** (1.0 / k),
+    ),
     "lexicographic": _Kind(
-        _lexicographic, True, False, level=lambda key, k: key[0],
+        _lexicographic, dominant=True, continuous=False, level=lambda key, k: key[0],
         param="priority", check=_check_priority, show=">".join,
     ),
-    "anti_monotone": _Kind(_anti_monotone, False, True),
+    "anti_monotone": _Kind(_anti_monotone, dominant=False, continuous=True),
     # Below the cutoff the level is 0: membership at 0 already holds there.
     "threshold": _Kind(
-        _threshold, False, False, level=lambda key, k: key[1] if key[0] else 0.0,
+        _threshold, dominant=False, continuous=False,
+        level=lambda key, k: key[1] if key[0] else 0.0,
         param="cutoff", check=_check_cutoff, show=repr,
     ),
 }
