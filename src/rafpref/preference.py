@@ -45,145 +45,32 @@ __all__ = [
     "indifferent",
 ]
 
-_WEIGHT_SUM_TOL = 1e-12
-
-#: The parameter fields of :class:`PreferenceSpec`; each kind takes at most one.
-_PARAMETERS = ("weights", "priority", "cutoff")
-
-
-def _check_weights(weights: tuple[float, ...] | None) -> None:
-    if not weights:
-        raise ValidationError("additive preferences need a 'weights' list")
-    if any(w <= 0.0 for w in weights):
-        raise ValidationError("additive weights must all be strictly positive")
-    if abs(sum(weights) - 1.0) > _WEIGHT_SUM_TOL:
-        raise ValidationError(
-            f"additive weights must sum to 1 (within {_WEIGHT_SUM_TOL}), got {sum(weights)!r}"
-        )
-
-
-def _check_priority(priority: tuple[str, ...] | None) -> None:
-    if not priority:
-        raise ValidationError("lexicographic preferences need a 'priority' list")
-
-
-def _check_cutoff(cutoff: float | None) -> None:
-    if cutoff is None:
-        raise ValidationError("threshold preferences need a 'cutoff'")
-    if not 0.0 < cutoff < 1.0:
-        raise ValidationError(f"cutoff must lie strictly inside (0, 1), got {cutoff!r}")
-
-
-def _additive(weights: tuple[float, ...], alts: AlternativeSet) -> Callable[[Raf], float]:
-    if len(weights) != len(alts):
-        raise ValidationError(
-            f"need {len(alts)} weights for alternatives {alts.labels}, got {len(weights)}"
-        )
-
-    def key(raf: Raf, _w: tuple[float, ...] = weights) -> float:
-        return sum(w * v for w, v in zip(_w, raf.values))
-
-    return key
-
-
-def _worst(raf: Raf) -> float:
-    return min(raf.values)
-
-
-def _product(raf: Raf) -> float:
-    out = 1.0
-    for v in raf.values:
-        out *= v
-    return out
-
-
-def _lexicographic(
-    priority: tuple[str, ...], alts: AlternativeSet
-) -> Callable[[Raf], tuple[float, ...]]:
-    if len(priority) != len(alts) or any(label not in priority for label in alts.labels):
-        raise ValidationError(f"priority must be a permutation of {alts.labels}, got {priority}")
-    order = tuple(alts.index(label) for label in priority)
-
-    def key(raf: Raf, _order: tuple[int, ...] = order) -> tuple[float, ...]:
-        return tuple(raf.values[i] for i in _order)
-
-    return key
-
-
-def _anti_monotone(_: None, alts: AlternativeSet) -> Callable[[Raf], float]:
-    def key(raf: Raf, _k: int = len(alts)) -> float:
-        return -sum(raf.values) / _k
-
-    return key
-
-
-def _threshold(cutoff: float, alts: AlternativeSet) -> Callable[[Raf], tuple[int, float]]:
-    def key(raf: Raf, _k: int = len(alts), _c: float = cutoff) -> tuple[int, float]:
-        mean = sum(raf.values) / _k
-        # Below the aspiration level the order reverses: having almost
-        # reached the cutoff and missed is judged worse than a clear miss.
-        return (1, mean) if mean >= _c else (0, -mean)
-
-    return key
-
-
-@dataclass(frozen=True)
-class _Kind:
-    """Everything that differs between the built-in kinds.
-
-    ``param`` names the one :class:`PreferenceSpec` field the kind takes, if
-    any; ``check`` vets its value alone and ``show`` renders it in the
-    oracle's name.  ``key(value, alts)`` builds the comparison key, making
-    the checks that need the alternative set.  ``level(key, k)`` is the
-    closed-form diagonal inverse: the level ``t`` whose constant point over
-    ``k`` alternatives has that key.  It is only a hint for
-    :func:`rafpref.utility.compute_u`, so it may be off by rounding; kinds
-    without one are bisected.
-    """
-
-    key: Callable[..., Callable[[Raf], object]]
-    dominant: bool
-    continuous: bool
-    level: Callable[[object, int], float] | None = None
-    param: str | None = None
-    check: Callable[[object], None] | None = None
-    show: Callable[[object], str] | None = None
-
-
-_KINDS = {
-    "additive": _Kind(
-        _additive, dominant=True, continuous=True, level=lambda s, k: s,
-        param="weights", check=_check_weights, show=lambda ws: ",".join(repr(w) for w in ws),
-    ),
-    "min": _Kind(
-        lambda _, alts: _worst, dominant=True, continuous=True, level=lambda s, k: s
-    ),
-    "geometric": _Kind(
-        lambda _, alts: _product, dominant=True, continuous=True,
-        level=lambda p, k: p ** (1.0 / k),
-    ),
-    "lexicographic": _Kind(
-        _lexicographic, dominant=True, continuous=False, level=lambda key, k: key[0],
-        param="priority", check=_check_priority, show=">".join,
-    ),
-    "anti_monotone": _Kind(_anti_monotone, dominant=False, continuous=True),
-    # Below the cutoff the level is 0: membership at 0 already holds there.
-    "threshold": _Kind(
-        _threshold, dominant=False, continuous=False,
-        level=lambda key, k: key[1] if key[0] else 0.0,
-        param="cutoff", check=_check_cutoff, show=repr,
-    ),
-}
-
-KINDS = frozenset(_KINDS)
+KINDS = frozenset(
+    {"additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"}
+)
 
 #: Built-in kinds for which coordinatewise strict improvement is always
 #: strictly preferred.
-WEAKLY_DOMINANT_KINDS = frozenset(name for name, kind in _KINDS.items() if kind.dominant)
+WEAKLY_DOMINANT_KINDS = frozenset({"additive", "min", "geometric", "lexicographic"})
 
 #: Built-in kinds for which termwise strict preference survives passage to the
 #: limit (as a weak preference).
-WEAKLY_CONTINUOUS_KINDS = frozenset(name for name, kind in _KINDS.items() if kind.continuous)
+WEAKLY_CONTINUOUS_KINDS = frozenset({"additive", "min", "geometric", "anti_monotone"})
+
+#: Each hinted kind's closed-form diagonal inverse: the level ``t`` whose
+#: constant point over ``k`` alternatives has the given key.  It is only a
+#: hint for :func:`rafpref.utility.compute_u`, so rounding is harmless;
+#: ``anti_monotone`` has none and is bisected.
+_LEVELS: dict[str, Callable[[object, int], float]] = {
+    "additive": lambda total, k: total,
+    "min": lambda worst, k: worst,
+    "geometric": lambda product, k: product ** (1.0 / k),
+    "lexicographic": lambda key, k: key[0],
+    # Below the cutoff the level is 0: membership at 0 already holds there.
+    "threshold": lambda key, k: key[1] if key[0] else 0.0,
+}
+
+_WEIGHT_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -204,7 +91,7 @@ class PreferenceSpec:
     cutoff: float | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
             raise ValidationError(
                 f"unknown preference kind {self.kind!r}; expected one of {sorted(KINDS)}"
             )
@@ -216,19 +103,38 @@ class PreferenceSpec:
         if self.cutoff is not None:
             object.__setattr__(self, "cutoff", _real("cutoff", self.cutoff))
 
-        kind = _KINDS[self.kind]
-        for field in _PARAMETERS:
-            if getattr(self, field) is not None and field != kind.param:
+        for field, owner in (("weights", "additive"), ("priority", "lexicographic"), ("cutoff", "threshold")):
+            if getattr(self, field) is not None and self.kind != owner:
                 raise ValidationError(f"kind {self.kind!r} does not take {field!r}")
-        if kind.param is not None:
-            kind.check(getattr(self, kind.param))
+
+        if self.kind == "additive":
+            if not self.weights:
+                raise ValidationError("additive preferences need a 'weights' list")
+            if any(w <= 0.0 for w in self.weights):
+                raise ValidationError("additive weights must all be strictly positive")
+            if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
+                raise ValidationError(
+                    f"additive weights must sum to 1 (within {_WEIGHT_SUM_TOL}), "
+                    f"got {sum(self.weights)!r}"
+                )
+        elif self.kind == "lexicographic":
+            if not self.priority:
+                raise ValidationError("lexicographic preferences need a 'priority' list")
+        elif self.kind == "threshold":
+            if self.cutoff is None:
+                raise ValidationError("threshold preferences need a 'cutoff'")
+            if not 0.0 < self.cutoff < 1.0:
+                raise ValidationError(f"cutoff must lie strictly inside (0, 1), got {self.cutoff!r}")
 
     def describe(self) -> str:
         """Canonical short name, stable across runs."""
-        kind = _KINDS[self.kind]
-        if kind.param is None:
-            return self.kind
-        return f"{self.kind}[{kind.show(getattr(self, kind.param))}]"
+        if self.kind == "additive":
+            return "additive[" + ",".join(repr(w) for w in self.weights or ()) + "]"
+        if self.kind == "lexicographic":
+            return "lexicographic[" + ">".join(self.priority or ()) + "]"
+        if self.kind == "threshold":
+            return f"threshold[{self.cutoff!r}]"
+        return self.kind
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -244,7 +150,7 @@ class PreferenceSpec:
     def from_dict(cls, data: Mapping) -> "PreferenceSpec":
         if not isinstance(data, Mapping) or "kind" not in data:
             raise ValidationError("a preference spec document needs a 'kind' field")
-        known = {"kind", *_PARAMETERS}
+        known = {"kind", "weights", "priority", "cutoff"}
         # str orders string keys as before; repr breaks ties such as 1 and "1".
         stray = sorted(set(data) - known, key=lambda k: (str(k), repr(k)))
         if stray:
@@ -304,8 +210,58 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
     permutation).  Every kind but ``anti_monotone`` gets a ``diagonal`` hint
     from its closed form.
     """
-    kind = _KINDS[spec.kind]
-    key = kind.key(None if kind.param is None else getattr(spec, kind.param), alts)
+    k = len(alts)
+    key: Callable[[Raf], object]
+    if spec.kind == "additive":
+        weights = spec.weights or ()
+        if len(weights) != k:
+            raise ValidationError(
+                f"need {k} weights for alternatives {alts.labels}, got {len(weights)}"
+            )
+
+        def key(raf: Raf, _w: tuple[float, ...] = weights) -> float:
+            return sum(w * v for w, v in zip(_w, raf.values))
+
+    elif spec.kind == "min":
+
+        def key(raf: Raf) -> float:
+            return min(raf.values)
+
+    elif spec.kind == "geometric":
+
+        def key(raf: Raf) -> float:
+            out = 1.0
+            for v in raf.values:
+                out *= v
+            return out
+
+    elif spec.kind == "lexicographic":
+        priority = spec.priority or ()
+        if len(priority) != k or any(label not in priority for label in alts.labels):
+            raise ValidationError(
+                f"priority must be a permutation of {alts.labels}, got {priority}"
+            )
+        order = tuple(alts.index(label) for label in priority)
+
+        def key(raf: Raf, _order: tuple[int, ...] = order) -> tuple[float, ...]:
+            return tuple(raf.values[i] for i in _order)
+
+    elif spec.kind == "anti_monotone":
+
+        def key(raf: Raf, _k: int = k) -> float:
+            return -sum(raf.values) / _k
+
+    elif spec.kind == "threshold":
+        cutoff = float(spec.cutoff)  # type: ignore[arg-type]
+
+        def key(raf: Raf, _k: int = k, _c: float = cutoff) -> tuple[int, float]:
+            mean = sum(raf.values) / _k
+            # Below the aspiration level the order reverses: having almost
+            # reached the cutoff and missed is judged worse than a clear miss.
+            return (1, mean) if mean >= _c else (0, -mean)
+
+    else:  # pragma: no cover - PreferenceSpec already rejects unknown kinds
+        raise ValidationError(f"unknown preference kind {spec.kind!r}")
 
     # compute_u asks about the same target ``b`` on every query, so the
     # last target's key is kept.  Raf is immutable and the slot holds a strong
@@ -322,8 +278,8 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
         return key(a) >= target_key  # type: ignore[operator]
 
     diagonal = None
-    if kind.level is not None:
-        level, k = kind.level, len(alts)
+    level = _LEVELS.get(spec.kind)
+    if level is not None:
 
         def diagonal(raf: Raf) -> float:
             return level(key(raf), k)

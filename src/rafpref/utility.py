@@ -101,13 +101,13 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     1/2, then the other end only if the first answer agrees with the hint.
     Two agreeing answers certify the cell.  On a miss the bisection runs
     from ``[0, 1]`` and skips every midpoint whose answer follows from a
-    level already probed.  So ``u``, ``lo`` and ``hi`` are bisection's, and
-    the total number of membership queries is at most
-    ``2 + ceil(log2(1/tol))`` either way.  A NaN, infinite or out-of-range
-    hint counts as none, and none is asked for when ``w >= 1/4``, where
-    bisection needs two probes or fewer.  Every probed level is a dyadic
-    rational that a float holds exactly, because ``tol`` is at least
-    ``2**-54``.
+    level already probed.  So for an oracle whose membership is monotone on
+    the diagonal, ``u``, ``lo`` and ``hi`` are bisection's; for any oracle
+    the bracket's ends are answered levels, and the total number of
+    membership queries is at most ``2 + ceil(log2(1/tol))`` either way.  A
+    NaN, infinite or out-of-range hint counts as none.  Every probed level
+    is a dyadic rational that a float holds exactly, because ``tol`` is at
+    least ``2**-54``.
     """
     tol = _tol(tol)
     calls = 0
@@ -151,7 +151,7 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
         return UtilityResult(u=1.0, lo=1.0, hi=1.0, tol=tol, oracle_calls=calls)
 
     width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
-    hint = oracle.diagonal(raf) if oracle.diagonal is not None and width < 0.25 else None
+    hint = None if oracle.diagonal is None else oracle.diagonal(raf)
     if hint is not None and 0.0 <= hint <= 1.0:
         hi = max(math.ceil(hint / width), 1) * width
         lo = hi - width

@@ -168,13 +168,6 @@ class TestBuildOracle:
             level = t if spec.cutoff is None or t >= spec.cutoff else 0.0
             assert oracle.diagonal(rp.scale_top(t, alts3)) == pytest.approx(level, abs=1e-15)
 
-    def test_kind_views_follow_the_table(self):
-        assert rp.KINDS == {
-            "additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"
-        }
-        assert rp.WEAKLY_DOMINANT_KINDS == {"additive", "min", "geometric", "lexicographic"}
-        assert rp.WEAKLY_CONTINUOUS_KINDS == {"additive", "min", "geometric", "anti_monotone"}
-
 
 class TestBuiltinOrders:
     def test_additive_prefers_higher_weighted_mean(self, alts2, oracle_factory):
