@@ -127,14 +127,19 @@ def bottom(alts: AlternativeSet) -> Raf:
     return Raf(alts, (0.0,) * len(alts))
 
 
-def _diagonal(alts: AlternativeSet, t: float) -> Raf:
-    # Unchecked: the caller guarantees that t is a float in [0, 1].  Bisections
-    # build one such point per query, so skipping the per-coordinate checks of
-    # __post_init__ is most of a query's cost.
+def _unchecked(alts: AlternativeSet, values: tuple[float, ...]) -> Raf:
+    # The caller guarantees len(alts) plain floats in [0, 1].  Bisections and
+    # samplers build one such point per query or draw, so skipping the
+    # per-coordinate checks of __post_init__ is most of its cost.
     point = object.__new__(Raf)
     object.__setattr__(point, "alts", alts)
-    object.__setattr__(point, "values", (t,) * len(alts))
+    object.__setattr__(point, "values", values)
     return point
+
+
+def _diagonal(alts: AlternativeSet, t: float) -> Raf:
+    # Unchecked: the caller guarantees that t is a float in [0, 1].
+    return _unchecked(alts, (t,) * len(alts))
 
 
 def scale_top(t: float, alts: AlternativeSet) -> Raf:

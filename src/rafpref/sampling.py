@@ -13,36 +13,74 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import _count
-from .raf import AlternativeSet, Raf
+from .errors import ValidationError, _count
+from .raf import AlternativeSet, Raf, _unchecked
 
 __all__ = ["RafSampler"]
 
+#: Doubles fetched from the generator per refill.  Any size serves the same
+#: stream, since ``Generator.random(n)`` returns the next ``n`` single draws.
+_BLOCK = 1024
+
 
 class RafSampler:
-    """Draws RAFs over a fixed alternative set from a seeded generator."""
+    """Draws RAFs over a fixed alternative set from a seeded generator.
+
+    Every method reads one stream of uniform doubles in ``[0, 1)``, the
+    successive draws of ``numpy.random.default_rng(seed).random()``, fetched
+    in blocks.  With ``k = len(alts)``:
+
+    - :meth:`unit` is the next value and a point from :meth:`raf` is the
+      next ``k``;
+    - :meth:`strictly_dominating_pair` reads two values per coordinate: an
+      upper value ``v``, redrawn while it is ``0.0``, then ``u``, and sets
+      the lower value to ``v * ((1 - STRICT_GAP) * u)``, which is
+      ``v * rng.uniform(0, 1 - STRICT_GAP)`` bit for bit;
+    - :meth:`pointwise_dominating_pair` reads ``k`` values first and takes
+      coordinate ``i``'s case as ``int(4 * u_i)``, which is exactly uniform
+      on ``{0, 1, 2, 3}``, then the values its cases need.  Before this
+      stream the cases came from ``rng.integers(0, 4, size=k)``, so this
+      method's pairs differ from those of older versions; the other
+      methods' draws do not.
+    """
 
     #: Guaranteed per-coordinate gap of :meth:`strictly_dominating_pair`.
     STRICT_GAP = 1e-6
 
     def __init__(self, alts: AlternativeSet, seed: int) -> None:
+        # Points are built unchecked, so a wrong alts would fail only later.
+        if not isinstance(alts, AlternativeSet):
+            raise ValidationError(f"alts must be an AlternativeSet, got {type(alts).__name__}")
         self.alts = alts
         self.seed = _count("seed", seed, 0)
         self._rng = np.random.default_rng(self.seed)
+        self._buffer: tuple[float, ...] = ()
+        self._next = 0
+
+    def _take(self, n: int) -> tuple[float, ...]:
+        """The next ``n`` values of the stream."""
+        start = self._next
+        stop = start + n
+        if stop > len(self._buffer):
+            fresh = self._rng.random(max(n, _BLOCK)).tolist()
+            self._buffer = self._buffer[start:] + tuple(fresh)
+            start, stop = 0, n
+        self._next = stop
+        return self._buffer[start:stop]
 
     def unit(self) -> float:
         """One uniform draw from [0, 1)."""
-        return float(self._rng.random())
+        return self._take(1)[0]
 
     def _positive_unit(self) -> float:
-        v = float(self._rng.random())
+        v = self.unit()
         while v == 0.0:
-            v = float(self._rng.random())
+            v = self.unit()
         return v
 
     def raf(self) -> Raf:
         """One RAF with independent uniform coordinates."""
-        return Raf(self.alts, tuple(float(v) for v in self._rng.random(len(self.alts))))
+        return _unchecked(self.alts, self._take(len(self.alts)))
 
     def rafs(self, n: int) -> list[Raf]:
         return [self.raf() for _ in range(n)]
@@ -54,13 +92,20 @@ class RafSampler:
         fraction of it bounded away from 1, so the gap never collapses to a
         tie under rounding.
         """
-        upper = []
-        lower = []
-        for _ in range(len(self.alts)):
-            u = self._positive_unit()
-            upper.append(u)
-            lower.append(u * float(self._rng.uniform(0.0, 1.0 - self.STRICT_GAP)))
-        return Raf(self.alts, tuple(upper)), Raf(self.alts, tuple(lower))
+        k = len(self.alts)
+        draws = self._take(2 * k)
+        upper = draws[::2]
+        if 0.0 in upper:
+            # A zero upper value is redrawn, which shifts every later value,
+            # so read this pair's values again one at a time.
+            self._next -= 2 * k
+            draws = ()
+            for _ in range(k):
+                draws += (self._positive_unit(), self.unit())
+            upper = draws[::2]
+        span = 1.0 - self.STRICT_GAP
+        lower = tuple(v * (span * u) for v, u in zip(upper, draws[1::2]))
+        return _unchecked(self.alts, upper), _unchecked(self.alts, lower)
 
     def pointwise_dominating_pair(self) -> tuple[Raf, Raf]:
         """A pair where the first RAF pointwise dominates the second.
@@ -70,16 +115,16 @@ class RafSampler:
         """
         upper = []
         lower = []
-        for case in self._rng.integers(0, 4, size=len(self.alts)):
+        for case in [int(4.0 * u) for u in self._take(len(self.alts))]:
             if case == 0:
-                u = l = 1.0
+                v = w = 1.0
             elif case == 1:
-                u = l = 0.0
+                v = w = 0.0
             elif case == 2:
-                u = l = self._positive_unit()
+                v = w = self._positive_unit()
             else:
-                u = self._positive_unit()
-                l = u * float(self._rng.uniform(0.0, 1.0 - self.STRICT_GAP))
-            upper.append(u)
-            lower.append(l)
-        return Raf(self.alts, tuple(upper)), Raf(self.alts, tuple(lower))
+                v = self._positive_unit()
+                w = v * ((1.0 - self.STRICT_GAP) * self.unit())
+            upper.append(v)
+            lower.append(w)
+        return _unchecked(self.alts, tuple(upper)), _unchecked(self.alts, tuple(lower))

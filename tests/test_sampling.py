@@ -1,10 +1,14 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rafpref as rp
-from rafpref import RafSampler, pointwise_dominates, strictly_dominates
+from rafpref import RafSampler, pointwise_dominates, strictly_dominates, sampling
 
 
 def test_same_seed_same_draws(alts3):
@@ -62,3 +66,166 @@ def test_pointwise_pairs_hold_and_cover_all_tie_cases(alts5):
 def test_unit_draws_stay_in_range(alts2):
     sampler = RafSampler(alts2, 3)
     assert all(0.0 <= sampler.unit() < 1.0 for _ in range(100))
+
+
+def test_alts_must_be_an_alternative_set():
+    with pytest.raises(rp.ValidationError, match="AlternativeSet"):
+        RafSampler(["a", "b"], 1)
+
+
+class Reference:
+    """The unbuffered sampler: one generator call per draw, checked points.
+
+    ``raf`` takes its ``k`` values in one ``random(k)`` call and the other
+    methods one value per call, with the lower fraction of a gap drawn by
+    ``uniform``, as the sampler did before it read from a buffer.
+    """
+
+    def __init__(self, alts, rng):
+        self.alts = alts
+        self.rng = rng
+
+    def unit(self):
+        return float(self.rng.random())
+
+    def positive_unit(self):
+        v = self.unit()
+        while v == 0.0:
+            v = self.unit()
+        return v
+
+    def gap(self, v):
+        return v * float(self.rng.uniform(0.0, 1.0 - RafSampler.STRICT_GAP))
+
+    def raf(self):
+        return rp.Raf(self.alts, tuple(float(v) for v in self.rng.random(len(self.alts))))
+
+    def rafs(self, n):
+        return [self.raf() for _ in range(n)]
+
+    def strictly_dominating_pair(self):
+        upper, lower = [], []
+        for _ in self.alts:
+            v = self.positive_unit()
+            upper.append(v)
+            lower.append(self.gap(v))
+        return rp.Raf(self.alts, tuple(upper)), rp.Raf(self.alts, tuple(lower))
+
+    def pointwise_dominating_pair(self):
+        upper, lower = [], []
+        for case in [int(4 * self.unit()) for _ in self.alts]:
+            if case == 0:
+                v = w = 1.0
+            elif case == 1:
+                v = w = 0.0
+            elif case == 2:
+                v = w = self.positive_unit()
+            else:
+                v = self.positive_unit()
+                w = self.gap(v)
+            upper.append(v)
+            lower.append(w)
+        return rp.Raf(self.alts, tuple(upper)), rp.Raf(self.alts, tuple(lower))
+
+
+def _run(sampler, ops):
+    out = []
+    for op, n in ops:
+        if op == "rafs":
+            out.append(sampler.rafs(n))
+        else:
+            out.extend(getattr(sampler, op)() for _ in range(n))
+    return out
+
+
+OPS = ["unit", "raf", "rafs", "strictly_dominating_pair", "pointwise_dominating_pair"]
+LONG = [(op, 300) for op in OPS] * 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    k=st.sampled_from([2, 3, 5, 8]),
+    seed=st.integers(0, 2**32),
+    block=st.sampled_from([1, 3, 16, sampling._BLOCK]),
+    ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 60)), max_size=40),
+)
+@example(k=2, seed=0, block=sampling._BLOCK, ops=LONG)
+@example(k=5, seed=1, block=sampling._BLOCK, ops=LONG)
+@example(k=8, seed=2, block=sampling._BLOCK, ops=LONG[::-1])
+def test_any_interleaving_reads_the_reference_stream(k, seed, block, ops):
+    # LONG reads at least 3000 * k values, several refills at the real size;
+    # the small sizes refill within a single point.
+    alts = rp.AlternativeSet(tuple(f"x{i}" for i in range(k)))
+    reference = _run(Reference(alts, np.random.default_rng(seed)), ops)
+    with mock.patch.object(sampling, "_BLOCK", block):
+        assert _run(RafSampler(alts, seed), ops) == reference
+
+
+class Scripted:
+    """A stand-in generator that returns the given values, then 0.5."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0) if self.values else 0.5
+        return np.array([self.random() for _ in range(size)])
+
+    def uniform(self, low, high):
+        return low + (high - low) * self.random()
+
+
+def test_zero_upper_values_are_redrawn_in_stream_order(alts2):
+    values = [
+        0.0, 0.25, 0.5, 0.0, 0.0, 0.75, 0.5,  # strict pair, both uppers redrawn
+        0.6, 0.9, 0.0, 0.4, 0.0, 0.8, 0.3,  # pointwise cases 2 and 3, both redrawn
+        0.1, 0.2, 0.0, 0.3, 0.4,  # strict pair, the second upper redrawn
+        0.7,
+    ]
+    ops = [
+        ("strictly_dominating_pair", 1),
+        ("pointwise_dominating_pair", 1),
+        ("strictly_dominating_pair", 1),
+        ("unit", 2),
+    ]
+    sampler = RafSampler(alts2, 0)
+    sampler._rng = Scripted(values)
+    drawn = _run(sampler, ops)
+    assert drawn == _run(Reference(alts2, Scripted(values)), ops)
+    assert drawn[:3] == [
+        (rp.Raf(alts2, (0.25, 0.75)), rp.Raf(alts2, (0.25 * (0.5 * (1 - 1e-6)), 0.75 * (0.5 * (1 - 1e-6))))),
+        (rp.Raf(alts2, (0.4, 0.8)), rp.Raf(alts2, (0.4, 0.8 * (0.3 * (1 - 1e-6))))),
+        (rp.Raf(alts2, (0.1, 0.3)), rp.Raf(alts2, (0.1 * (0.2 * (1 - 1e-6)), 0.3 * (0.4 * (1 - 1e-6))))),
+    ]
+    assert drawn[3:] == [0.7, 0.5]
+
+
+def test_sampled_points_are_checked_rafs(alts5):
+    sampler = RafSampler(alts5, 4)
+    points = sampler.rafs(50)
+    for _ in range(50):
+        points += sampler.strictly_dominating_pair()
+        points += sampler.pointwise_dominating_pair()
+    for point in points:
+        checked = rp.Raf(alts5, point.values)
+        assert point == checked and hash(point) == hash(checked)
+        assert point.alts is alts5 and type(point.values) is tuple
+        assert all(type(v) is float for v in point.values)
+
+
+def test_pointwise_stream_is_pinned():
+    # Cases int(4 * u): 1, 3, 0, 0 for the first pair and 2, 0, 3, 3 for the
+    # second.  A change of this stream shows here first.
+    alts = rp.AlternativeSet(("a", "b", "c", "d"))
+    sampler = RafSampler(alts, 12)
+    first = sampler.pointwise_dominating_pair()
+    second = sampler.pointwise_dominating_pair()
+    assert [p.values for p in first] == [
+        (0.0, 0.3498892405959575, 1.0, 1.0),
+        (0.0, 0.08066382103148587, 1.0, 1.0),
+    ]
+    assert [p.values for p in second] == [
+        (0.00282703218662006, 1.0, 0.5414661617187942, 0.2579549587609903),
+        (0.00282703218662006, 1.0, 0.05785629136404836, 0.10754029342873117),
+    ]
