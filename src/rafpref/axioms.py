@@ -164,12 +164,13 @@ def falsify_weak_dominance(
     oracle: PreferenceOracle,
     sampler: RafSampler,
     n_pairs: int,
-) -> tuple[Raf, Raf] | None:
+) -> tuple[int, tuple[Raf, Raf]] | None:
     """Search for a strictly dominating pair that is not strictly preferred.
 
     The canonical pair (everything available, nothing available) is always
-    probed first; ``n_pairs`` sampled strictly dominating pairs follow.
-    Returns the witnessing pair, or ``None`` when no violation was seen.
+    probed first as candidate 1; ``n_pairs`` sampled strictly dominating
+    pairs follow.  Returns the witness's 1-based candidate index and the
+    witnessing pair, or ``None`` when no violation was seen.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
 
@@ -179,8 +180,7 @@ def falsify_weak_dominance(
     # Drawn lazily: sampling stops at the first replayed witness.
     sampled = (sampler.strictly_dominating_pair() for _ in range(n_pairs))
     candidates = chain([(top(oracle.alts), bottom(oracle.alts))], sampled)
-    hit = _first_replayed(candidates, not_strictly_preferred)
-    return hit[1] if hit else None
+    return _first_replayed(candidates, not_strictly_preferred)
 
 
 @dataclass(frozen=True)

@@ -144,7 +144,9 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
     sampler = RafSampler(alts, args.seed)
 
     order = check_order_axioms(oracle, sampler, args.pairs, args.triples)
-    dominance_witness = falsify_weak_dominance(oracle, sampler, args.pairs)
+    dominance_samples, dominance_witness = falsify_weak_dominance(
+        oracle, sampler, args.pairs
+    ) or (args.pairs + 1, None)
     loci = (0.5, spec.cutoff) if spec.cutoff is not None else (0.5,)
     families = builtin_families(alts, loci=loci)
     continuity_witness = falsify_weak_continuity(oracle, families, args.depth)
@@ -166,7 +168,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         "order_axioms": order.to_dict(),
         "weak_dominance": {
             "verdict": "falsified" if dominance_witness else "passed_sampled",
-            "samples": args.pairs + 1,
+            "samples": dominance_samples,
             "witness": (
                 {
                     "first": dominance_witness[0].to_dict(),

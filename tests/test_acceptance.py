@@ -195,8 +195,8 @@ def test_counterexample_suite():
     details = []
 
     anti = _oracle("anti_monotone")
-    witness = falsify_weak_dominance(anti, RafSampler(ALTS5, SEED), 1)
-    caught = witness == (top(ALTS5), bottom(ALTS5))
+    hit = falsify_weak_dominance(anti, RafSampler(ALTS5, SEED), 1)
+    caught = hit == (1, (top(ALTS5), bottom(ALTS5)))
     ok = ok and caught
     details.append(f"anti_monotone dominance witness on canonical probe: {caught}")
 

@@ -116,14 +116,16 @@ class TestWeakDominance:
 
     def test_anti_monotone_fails_on_the_canonical_pair(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
-        witness = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1)
-        assert witness == (top(alts3), bottom(alts3))
+        hit = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1)
+        assert hit == (1, (top(alts3), bottom(alts3)))
 
     def test_threshold_fails_below_the_cutoff(self, alts3, oracle_factory):
         oracle = oracle_factory("threshold", alts3, cutoff=0.5)
-        witness = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 500)
-        assert witness is not None
-        a, b = witness
+        hit = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 500)
+        assert hit is not None
+        samples, (a, b) = hit
+        # The canonical pair is preferred, so the witness is a sampled pair.
+        assert 1 < samples <= 501
         assert strictly_dominates(a, b)
         assert not strictly_prefers(oracle, a, b)
 
