@@ -38,10 +38,7 @@ class RafSampler:
       ``v * rng.uniform(0, 1 - STRICT_GAP)`` bit for bit;
     - :meth:`pointwise_dominating_pair` reads ``k`` values first and takes
       coordinate ``i``'s case as ``int(4 * u_i)``, which is exactly uniform
-      on ``{0, 1, 2, 3}``, then the values its cases need.  Before this
-      stream the cases came from ``rng.integers(0, 4, size=k)``, so this
-      method's pairs differ from those of older versions; the other
-      methods' draws do not.
+      on ``{0, 1, 2, 3}``, then the values its cases need.
     """
 
     #: Guaranteed per-coordinate gap of :meth:`strictly_dominating_pair`.
@@ -117,14 +114,14 @@ class RafSampler:
         lower = []
         for case in [int(4.0 * u) for u in self._take(len(self.alts))]:
             if case == 0:
-                v = w = 1.0
+                u = l = 1.0
             elif case == 1:
-                v = w = 0.0
+                u = l = 0.0
             elif case == 2:
-                v = w = self._positive_unit()
+                u = l = self._positive_unit()
             else:
-                v = self._positive_unit()
-                w = v * ((1.0 - self.STRICT_GAP) * self.unit())
-            upper.append(v)
-            lower.append(w)
+                u = self._positive_unit()
+                l = u * ((1.0 - self.STRICT_GAP) * self.unit())
+            upper.append(u)
+            lower.append(l)
         return _unchecked(self.alts, tuple(upper)), _unchecked(self.alts, tuple(lower))
