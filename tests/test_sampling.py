@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -212,6 +213,8 @@ def test_sampled_points_are_checked_rafs(alts5):
         assert point == checked and hash(point) == hash(checked)
         assert point.alts is alts5 and type(point.values) is tuple
         assert all(type(v) is float for v in point.values)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        points[0].values = (0.5,) * 5
 
 
 def test_pointwise_stream_is_pinned():
