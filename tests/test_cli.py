@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -501,3 +505,32 @@ class TestDeterminism:
         cli.main([*base, "--out", str(first)])
         cli.main([*base, "--out", str(second)])
         assert first.read_bytes() == second.read_bytes()
+
+
+class TestInProcess:
+    @pytest.mark.parametrize("argv", [["--help"], ["choose", "--help"]])
+    def test_help_returns_zero(self, argv, capsys):
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.startswith("usage: rafpref")
+
+    def test_entrypoint_exits_with_the_code(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["rafpref", "choose", "--help"])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rafpref choose")
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_runs_without_docstrings(self, tmp_path):
+        src = Path(rp.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        argv = ["demo-sequences", "--upper", "1,0.5", "--lower", "1,0.2", "--terms", "1,2"]
+        proc = subprocess.run(
+            [sys.executable, "-OO", "-m", "rafpref.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.startswith("n,upper_a,upper_b,lower_a,lower_b")

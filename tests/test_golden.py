@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rafpref import cli
 
@@ -67,10 +69,13 @@ CASES = {
 _INPUTS = {p.name for p in GOLDEN.glob("*.json")}
 
 
+def _inputs(argv: list[str]) -> list[str]:
+    return [str(GOLDEN / a) if a in _INPUTS else a for a in argv]
+
+
 def run_case(name: str, out: Path) -> tuple[int, bytes, str]:
     """Run one case; return its exit code, report bytes and stderr text."""
-    argv, _ = CASES[name]
-    argv = [str(GOLDEN / a) if a in _INPUTS else a for a in argv]
+    argv = _inputs(CASES[name][0])
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main([*argv, "--out", str(out)])
@@ -83,6 +88,102 @@ def test_output_matches_recording(name, tmp_path):
     assert rc == CASES[name][1]
     assert report == (GOLDEN / f"{name}.out").read_bytes()
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def _matches_recording(name: str, out: Path) -> bool:
+    out.unlink(missing_ok=True)
+    rc, report, err = run_case(name, out)
+    return (rc, report, err) == (
+        CASES[name][1],
+        (GOLDEN / f"{name}.out").read_bytes(),
+        (GOLDEN / f"{name}.err").read_text(encoding="utf-8"),
+    )
+
+
+def test_cases_in_one_process_share_the_parser(tmp_path):
+    # ``main`` reuses one parser per process; no call may leave state
+    # behind for the next, a failed parse included.
+    order = sorted(CASES)
+    for name in order + order[::-1]:
+        assert _matches_recording(name, tmp_path / "report"), name
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert cli.main([*_inputs(CASES[name][0]), "--no-such-flag"]) == 1
+        assert "unrecognized arguments: --no-such-flag" in err.getvalue()
+
+
+#: The flags each subcommand reads, with values it accepts.  Counts stay
+#: small so that every example runs in milliseconds.
+_FLAGS = {
+    "check-axioms": {
+        "--spec": ["spec_additive.json", "spec_threshold.json", "spec_lex.json", "spec_anti.json"],
+        "--alts": ["x,y,z"],
+        "--seed": ["0", "7"],
+        "--pairs": ["1", "4"],
+        "--triples": ["1", "2"],
+        "--depth": ["1", "3"],
+    },
+    "build-utility": {
+        "--spec": ["spec_additive.json", "spec_lex.json", "spec_anti.json"],
+        "--rafs": ["rafs.json"],
+        "--tol": ["1e-6", "0.05", "2e-9"],
+        "--format": ["csv", "json"],
+    },
+    "validate": {
+        "--spec": ["spec_additive.json", "spec_lex.json", "spec_threshold.json"],
+        "--alts": ["x,y,z"],
+        "--seed": ["0", "3"],
+        "--tol": ["1e-6", "0.05"],
+        "--pairs": ["1", "3"],
+    },
+    "choose": {
+        "--spec": ["spec_additive.json", "spec_lex.json", "spec_threshold.json"],
+        "--menu": ["menu.json"],
+        "--tol": ["1e-6", "0.05", "0.5"],
+    },
+    "demo-sequences": {
+        "--upper": ["1,0.5,0.5", "1,0.7,0.5"],
+        "--lower": ["1,0.2,0.5", "0.5,0.5,0"],
+        "--alts": ["x,y,z", "p,q,r"],
+        "--terms": ["1,2,5", "99999999999999999999", "1"],
+        "--format": ["csv", "json"],
+    },
+}
+#: Values no flag accepts, or accepts only in some places.
+_BAD = ["", "x", "-1", "0", "nan", "1e999", "1e-300", "1,,2", "x,x", "rafs.json", "nope.json"]
+#: Counts left out take their defaults (up to 1000), which would be slow.
+_ALWAYS_GIVEN = {"--pairs", "--triples", "--depth"}
+
+
+@st.composite
+def _argvs(draw) -> list[str]:
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag in draw(st.permutations(sorted(_FLAGS[command]))):
+        how = draw(st.sampled_from(["good"] * 8 + ["bad", "absent"]))
+        if how == "absent" and flag not in _ALWAYS_GIVEN:
+            continue
+        values = _FLAGS[command][flag] if how != "bad" else _BAD
+        argv += [flag, draw(st.sampled_from(values))]
+    tail = draw(st.sampled_from([[]] * 4 + [["--help"], ["--tol"], ["--seed"], ["--depth", "2"]]))
+    return _inputs(argv + tail)
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=_argvs(), golden=st.sampled_from(sorted(CASES)))
+def test_any_flags_exit_with_a_code_and_leave_the_parser_intact(
+    argv, golden, tmp_path_factory
+):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (0, 1, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc == 1:
+        assert err.getvalue().startswith("error: ")
+    elif "--help" in argv:  # reached only when every earlier flag parsed
+        assert rc == 0 and out.getvalue().startswith("usage: rafpref")
+    assert _matches_recording(golden, tmp_path_factory.getbasetemp() / "golden.out")
 
 
 if __name__ == "__main__":
