@@ -12,11 +12,15 @@ rule depending on where the tie sits:
   stays strictly positive;
 * a strict gap already: both terms stay put.
 
-Every term is then a valid RAF, the upper term strictly dominates the lower
-one, and both terms stay within sup distance ``1/(2n)`` of their limits.
-The last guarantee is delicate at double precision: subtracting a small step
-from a coordinate can round to a point slightly *further* than the step, so
-the subtraction is clamped by one representable-float nudge when needed.
+Every term is then a valid RAF and the upper term strictly dominates the
+lower one.  Both terms stay within sup distance ``1/(2n)`` of their limits
+while each lower step (``1/(2n)`` at 1, ``margin/(2n)`` inside) is at least
+one ulp of its tied value.  Past that, the lower term is the next float
+below the tied value, at most one ulp away, which can exceed ``1/(2n)``;
+strict dominance still holds.  Within that range the bound is delicate at
+double precision: subtracting a small step from a coordinate can round to a
+point slightly *further* than the step, so the subtraction is clamped by one
+representable-float nudge when needed.
 """
 
 from __future__ import annotations
@@ -33,10 +37,10 @@ __all__ = ["PerturbationSequences", "perturbation_sequences"]
 def _shrink(value: float, delta: float) -> float:
     """Largest representable point below ``value`` within ``delta`` of it.
 
-    Guarantees ``result < value`` and ``value - result <= delta`` whenever
-    ``delta`` is at least one ulp of ``value``; for smaller deltas it falls
-    back to the predecessor float, whose distance still sits far below any
-    ``1/(2n)`` bound.
+    Guarantees ``result < value`` always, and ``value - result <= delta``
+    whenever ``delta`` is at least one ulp of ``value``.  For smaller deltas
+    the result is the predecessor float, at most one ulp below ``value``,
+    which can be further than ``delta`` from it.
     """
     out = value - delta
     if value - out > delta:  # subtraction rounded past the step

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import rafpref as rp
@@ -122,6 +124,24 @@ class TestContract:
         ]
         assert distances == sorted(distances, reverse=True)
         assert distances[-1] <= 1.0 / 2000.0
+
+    @pytest.mark.parametrize("tied", [1.0, 0.5, 0.3])
+    def test_steps_below_one_ulp_take_the_predecessor(self, alts2, tied):
+        # At n = 10**20 the step is far below one ulp of the tied value: the
+        # lower term is the next float below it, past the 1/(2n) bound.
+        seqs = perturbation_sequences(make_raf(alts2, (tied, 0.9)), make_raf(alts2, (tied, 0.1)))
+        n = 10**20
+        upper_n, lower_n = seqs.term(n)
+        assert strictly_dominates(upper_n, lower_n)
+        assert lower_n.values[0] == math.nextafter(tied, 0.0)
+        assert 1.0 / (2.0 * n) < sup_distance(lower_n, seqs.lower) <= math.ulp(tied)
+
+    def test_bound_holds_down_to_a_step_of_one_ulp(self, alts2):
+        seqs = perturbation_sequences(make_raf(alts2, (1.0, 0.9)), make_raf(alts2, (1.0, 0.1)))
+        n = 2**51  # step 1/(2n) is exactly one ulp of 1.0
+        upper_n, lower_n = seqs.term(n)
+        assert strictly_dominates(upper_n, lower_n)
+        assert sup_distance(lower_n, seqs.lower) <= 1.0 / (2.0 * n)
 
     def test_extreme_tied_values_still_strict(self, alts2):
         # Ties close to the cube corners stress the float clamping.
