@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError, _count, _real
@@ -36,6 +36,17 @@ __all__ = [
 
 PASSED_SAMPLED = "passed_sampled"
 FALSIFIED = "falsified"
+
+#: The six ordered pairs of a triple's positions, in the order they are asked.
+_PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
+
+#: Each ordering ``(x, y, z)`` of a triple, in ``permutations`` order, with
+#: the places in :data:`_PAIRS` of the answers to ``x >= y``, ``y >= z`` and
+#: ``x >= z``.
+_PERMS = tuple(
+    ((x, y, z), _PAIRS.index((x, y)), _PAIRS.index((y, z)), _PAIRS.index((x, z)))
+    for x, y, z in permutations(range(3))
+)
 
 
 @dataclass(frozen=True)
@@ -114,8 +125,8 @@ def check_order_axioms(
     """Probe reflexivity, connectedness and transitivity on random draws.
 
     Reflexivity and connectedness each use ``n_pairs`` draws, transitivity
-    uses ``n_triples`` triples with all six ordered queries cached.  The
-    first violation of each axiom is re-queried before it is reported.
+    uses ``n_triples`` triples, each with its six ordered queries asked once.
+    The first violation of each axiom is re-queried before it is reported.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
     n_triples = _count("n_triples", n_triples, 1)
@@ -130,17 +141,14 @@ def check_order_axioms(
     def intransitive(x: Raf, y: Raf, z: Raf) -> bool:
         return weak(x, y) and weak(y, z) and not weak(x, z)
 
-    def broken_order(triple: tuple[Raf, Raf, Raf]) -> tuple[Raf, Raf, Raf] | None:
-        # Six cached queries decide every ordering of the triple at once.
-        rel = {(x, y): weak(triple[x], triple[y]) for x in range(3) for y in range(3) if x != y}
-        return next(
-            (
-                (triple[x], triple[y], triple[z])
-                for x, y, z in permutations(range(3))
-                if rel[(x, y)] and rel[(y, z)] and not rel[(x, z)]
-            ),
-            None,
-        )
+    def broken_order(triple: Sequence[Raf]) -> tuple[Raf, Raf, Raf] | None:
+        # Six queries, each asked once in _PAIRS order, decide every ordering.
+        a, b, c = triple
+        rel = (weak(a, b), weak(a, c), weak(b, a), weak(b, c), weak(c, a), weak(c, b))
+        for (x, y, z), xy, yz, xz in _PERMS:
+            if rel[xy] and rel[yz] and not rel[xz]:
+                return triple[x], triple[y], triple[z]
+        return None
 
     checks = []
     for axiom, n, roles, violated, find in (
@@ -148,8 +156,9 @@ def check_order_axioms(
         ("connectedness", n_pairs, ("first", "second"), incomparable, None),
         ("transitivity", n_triples, ("first", "second", "third"), intransitive, broken_order),
     ):
-        # Drawn lazily: sampling stops at the first replayed witness.
-        draws = (tuple(sampler.raf() for _ in roles) for _ in range(n))
+        # Drawn lazily, one read per candidate: sampling stops at the first
+        # replayed witness.
+        draws = map(sampler.rafs, repeat(len(roles), n))
         hit = _first_replayed(draws, violated, find)
         if hit is None:
             checks.append(AxiomCheck(axiom, PASSED_SAMPLED, n))

@@ -28,7 +28,9 @@ one of the hypotheses, which is what makes them useful as counterexamples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter, mul
 from typing import Callable, Mapping
 
 from .errors import AlternativeSetMismatchError, ValidationError, _real, _sequence
@@ -220,7 +222,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
             )
 
         def key(raf: Raf, _w: tuple[float, ...] = weights) -> float:
-            return sum(w * v for w, v in zip(_w, raf.values))
+            return sum(map(mul, _w, raf.values))
 
     elif spec.kind == "min":
 
@@ -230,10 +232,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
     elif spec.kind == "geometric":
 
         def key(raf: Raf) -> float:
-            out = 1.0
-            for v in raf.values:
-                out *= v
-            return out
+            return math.prod(raf.values)
 
     elif spec.kind == "lexicographic":
         priority = spec.priority or ()
@@ -241,10 +240,11 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
             raise ValidationError(
                 f"priority must be a permutation of {alts.labels}, got {priority}"
             )
-        order = tuple(alts.index(label) for label in priority)
+        # k >= 2, so the getter always returns a tuple.
+        pick = itemgetter(*(alts.index(label) for label in priority))
 
-        def key(raf: Raf, _order: tuple[int, ...] = order) -> tuple[float, ...]:
-            return tuple(raf.values[i] for i in _order)
+        def key(raf: Raf, _pick: Callable = pick) -> tuple[float, ...]:
+            return _pick(raf.values)
 
     elif spec.kind == "anti_monotone":
 

@@ -31,7 +31,8 @@ class RafSampler:
     in blocks.  With ``k = len(alts)``:
 
     - :meth:`unit` is the next value and a point from :meth:`raf` is the
-      next ``k``;
+      next ``k``; :meth:`rafs` reads the next ``n * k`` in one read, the
+      values of ``n`` calls of :meth:`raf`;
     - :meth:`strictly_dominating_pair` reads two values per coordinate: an
       upper value ``v``, redrawn while it is ``0.0``, then ``u``, and sets
       the lower value to ``v * ((1 - STRICT_GAP) * u)``, which is
@@ -50,6 +51,7 @@ class RafSampler:
             raise ValidationError(f"alts must be an AlternativeSet, got {type(alts).__name__}")
         self.alts = alts
         self.seed = _count("seed", seed, 0)
+        self._k = len(alts)
         self._rng = np.random.default_rng(self.seed)
         self._buffer: tuple[float, ...] = ()
         self._next = 0
@@ -77,10 +79,16 @@ class RafSampler:
 
     def raf(self) -> Raf:
         """One RAF with independent uniform coordinates."""
-        return _unchecked(self.alts, self._take(len(self.alts)))
+        return _unchecked(self.alts, self._take(self._k))
 
     def rafs(self, n: int) -> list[Raf]:
-        return [self.raf() for _ in range(n)]
+        """``n`` RAFs as from :meth:`raf`; none, and no draw, for ``n <= 0``."""
+        if n <= 0:
+            # A negative take would move the stream backwards.
+            return []
+        alts, k = self.alts, self._k
+        values = self._take(n * k)
+        return [_unchecked(alts, values[i : i + k]) for i in range(0, n * k, k)]
 
     def strictly_dominating_pair(self) -> tuple[Raf, Raf]:
         """A pair where the first RAF strictly dominates the second.
@@ -89,7 +97,7 @@ class RafSampler:
         fraction of it bounded away from 1, so the gap never collapses to a
         tie under rounding.
         """
-        k = len(self.alts)
+        k = self._k
         draws = self._take(2 * k)
         upper = draws[::2]
         if 0.0 in upper:
@@ -112,7 +120,7 @@ class RafSampler:
         """
         upper = []
         lower = []
-        for case in [int(4.0 * u) for u in self._take(len(self.alts))]:
+        for case in [int(4.0 * u) for u in self._take(self._k)]:
             if case == 0:
                 u = l = 1.0
             elif case == 1:

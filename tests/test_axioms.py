@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+from itertools import permutations, product
+
+import numpy as np
 import pytest
 
 import rafpref as rp
@@ -106,6 +109,147 @@ class TestOrderAxioms:
             "connectedness",
             "transitivity",
         }
+
+
+def reference_broken_order(weak, triple):
+    """The transitivity probe as first written: the six answers in a dict,
+    then the orderings scanned in ``permutations`` order."""
+    rel = {(x, y): weak(triple[x], triple[y]) for x in range(3) for y in range(3) if x != y}
+    return next(
+        (
+            (triple[x], triple[y], triple[z])
+            for x, y, z in permutations(range(3))
+            if rel[(x, y)] and rel[(y, z)] and not rel[(x, z)]
+        ),
+        None,
+    )
+
+
+class FixedSampler:
+    """Serves three fixed points as every triple and the first one otherwise."""
+
+    seed = 0
+
+    def __init__(self, points):
+        self.points = points
+
+    def rafs(self, n):
+        return list(self.points) if n == 3 else [self.points[0]] * n
+
+
+def table_oracle(alts, points, answers, log):
+    # Answers each ordered pair of distinct points from ``answers``, every
+    # point is preferred to itself, and each query is logged by position.
+    position = {p.values: i for i, p in enumerate(points)}
+
+    def query(a, b):
+        i, j = position[a.values], position[b.values]
+        log.append((i, j))
+        return i == j or answers[(i, j)]
+
+    return PreferenceOracle("table", alts, query)
+
+
+def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2):
+    points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
+    pairs = [(x, y) for x in range(3) for y in range(3) if x != y]
+    roles = ("first", "second", "third")
+    for pattern in product((False, True), repeat=6):
+        answers = dict(zip(pairs, pattern))
+        log, reference_log = [], []
+        oracle = table_oracle(alts2, points, answers, log)
+        report = check_order_axioms(oracle, FixedSampler(points), 1, 1)
+        reference = table_oracle(alts2, points, answers, reference_log)
+        witness = reference_broken_order(reference.weak_prefers, points)
+        # Reflexivity and connectedness ask (0, 0) once each; then the probe.
+        assert log[:2] == [(0, 0), (0, 0)], pattern
+        assert log[2:8] == reference_log == pairs, pattern
+        check = report.check("transitivity")
+        if witness is None:
+            assert check.verdict == rp.PASSED_SAMPLED and log[8:] == [], pattern
+        else:
+            x, y, z = (points.index(p) for p in witness)
+            assert check.verdict == rp.FALSIFIED and check.samples == 1, pattern
+            assert check.witness == {r: p.to_dict() for r, p in zip(roles, witness)}, pattern
+            assert log[8:] == [(x, y), (y, z), (x, z)], pattern  # the replay
+
+
+def stream_points(alts, seed, count):
+    """The stream's first ``count`` points, one generator call each, and the
+    generator after them, as an unbuffered sampler reads them."""
+    rng = np.random.default_rng(seed)
+    return [tuple(float(v) for v in rng.random(len(alts))) for _ in range(count)], rng
+
+
+def failing_oracle(alts, axiom, bad):
+    # Min, but ``axiom`` fails on the points whose values are ``bad``:
+    # the one point is not preferred to itself, the pair is incomparable, or
+    # the triple is a cycle.
+    key = rp.build_oracle(rp.PreferenceSpec(kind="min"), alts).key
+
+    def query(a, b):
+        if a.values in bad and b.values in bad:
+            if axiom == "reflexivity":
+                return False
+            if axiom == "connectedness":
+                return a.values == b.values
+            return (bad.index(b.values) - bad.index(a.values)) % 3 in (0, 1)
+        return key(a) >= key(b)
+
+    return PreferenceOracle(f"fails {axiom}", alts, query)
+
+
+class TestOrderSamplingIsLazy:
+    """Sampling stops at the first replayed witness, so later stages read
+    from the stream where an unbuffered sampler would stand."""
+
+    N = 300  # pairs and triples; at k = 5 the points span several refills
+
+    @pytest.mark.parametrize("k", [2, 5])
+    @pytest.mark.parametrize(
+        "axiom, at",
+        list(product(("reflexivity", "connectedness", "transitivity"), (1, 137, 300))),
+    )
+    def test_the_stream_stops_at_the_witness(self, k, axiom, at):
+        n = self.N
+        alts = rp.AlternativeSet(tuple(f"x{i}" for i in range(k)))
+        size = {"reflexivity": 1, "connectedness": 2, "transitivity": 3}[axiom]
+        before = {"reflexivity": 0, "connectedness": n, "transitivity": 3 * n}[axiom]
+        start = before + size * (at - 1)
+        # Points read in all: the stages before, the failing one up to its
+        # witness, and every candidate of the stages after.
+        read = {
+            "reflexivity": at + 5 * n,
+            "connectedness": 4 * n + 2 * at,
+            "transitivity": 3 * n + 3 * at,
+        }
+        points, rng = stream_points(alts, SEED, read[axiom])
+        bad = points[start : start + size]
+
+        sampler = RafSampler(alts, SEED)
+        report = check_order_axioms(failing_oracle(alts, axiom, bad), sampler, n, n)
+        assert [(c.axiom, c.samples) for c in report.checks if not c.passed] == [(axiom, at)]
+
+        logged = []
+        key = rp.build_oracle(rp.PreferenceSpec(kind="min"), alts).key
+
+        def logging(a, b):
+            logged.append((a.values, b.values))
+            return key(a) >= key(b)
+
+        assert falsify_weak_dominance(PreferenceOracle("log", alts, logging), sampler, 5) is None
+        expected = []
+        for _ in range(5):
+            upper, lower = [], []
+            for _ in range(k):
+                v = float(rng.random())
+                while v == 0.0:
+                    v = float(rng.random())
+                upper.append(v)
+                lower.append(v * float(rng.uniform(0.0, 1.0 - RafSampler.STRICT_GAP)))
+            expected.append((tuple(upper), tuple(lower)))
+        # Two queries per candidate; the first candidate is (top, bottom).
+        assert logged[2::2] == expected
 
 
 class TestWeakDominance:

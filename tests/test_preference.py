@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rafpref as rp
@@ -311,3 +311,54 @@ class TestQueryMemo:
         assert interrupts == []
         assert oracle.weak_prefers(mid, low)
         assert not oracle.weak_prefers(mid, high)
+
+
+#: Point coordinates: any float in [0, 1], with the cube's corners, two
+#: subnormals and the smallest normal float drawn often.
+COORDINATE = st.sampled_from([0.0, 1.0, 5e-324, 1e-310, 2.2250738585072014e-308]) | st.floats(
+    min_value=0.0, max_value=1.0
+)
+
+
+@st.composite
+def additive_weights(draw, k):
+    """Weights of a valid additive spec: positive, normalised to sum to 1."""
+    raw = draw(st.lists(st.floats(min_value=5e-324, max_value=1.0), min_size=k, max_size=k))
+    total = sum(raw)
+    weights = tuple(w / total for w in raw)
+    assume(all(w > 0.0 for w in weights))  # a subnormal over a large total is 0
+    return weights
+
+
+def reference_key(spec, alts, values):
+    """The keys as first written, with Python-level loops."""
+    if spec.kind == "additive":
+        return sum(w * v for w, v in zip(spec.weights, values))
+    if spec.kind == "geometric":
+        out = 1.0
+        for v in values:
+            out *= v
+        return out
+    order = tuple(alts.index(label) for label in spec.priority)
+    return tuple(values[i] for i in order)
+
+
+class TestKeyFormulas:
+    """The built-in keys equal their reference formulas exactly, not nearly."""
+
+    @settings(max_examples=300)
+    @given(data=st.data(), k=st.integers(2, 8))
+    def test_keys_are_bit_identical_to_the_references(self, data, k):
+        alts = rp.AlternativeSet(tuple(f"x{i}" for i in range(k)))
+        values = tuple(data.draw(st.lists(COORDINATE, min_size=k, max_size=k)))
+        raf = make_raf(alts, values)
+        specs = [
+            PreferenceSpec(kind="additive", weights=data.draw(additive_weights(k))),
+            PreferenceSpec(kind="geometric"),
+            PreferenceSpec(kind="lexicographic", priority=data.draw(st.permutations(alts.labels))),
+        ]
+        for spec in specs:
+            key = build_oracle(spec, alts).key(raf)
+            expected = reference_key(spec, alts, values)
+            # Coordinates are finite and nonnegative, so == is bit identity.
+            assert key == expected and type(key) is type(expected), spec.kind

@@ -134,12 +134,16 @@ def _run(sampler, ops):
     for op, n in ops:
         if op == "rafs":
             out.append(sampler.rafs(n))
+        elif op.startswith("rafs"):
+            # n groups of a fixed size, as check_order_axioms draws candidates.
+            out.extend(sampler.rafs(int(op[4:])) for _ in range(n))
         else:
             out.extend(getattr(sampler, op)() for _ in range(n))
     return out
 
 
 OPS = ["unit", "raf", "rafs", "strictly_dominating_pair", "pointwise_dominating_pair"]
+OPS += [f"rafs{size}" for size in range(5)]
 LONG = [(op, 300) for op in OPS] * 2
 
 
@@ -160,6 +164,18 @@ def test_any_interleaving_reads_the_reference_stream(k, seed, block, ops):
     reference = _run(Reference(alts, np.random.default_rng(seed)), ops)
     with mock.patch.object(sampling, "_BLOCK", block):
         assert _run(RafSampler(alts, seed), ops) == reference
+
+
+@pytest.mark.parametrize("n", [-3, 0])
+def test_empty_rafs_draw_nothing(alts3, n):
+    sampler = RafSampler(alts3, 21)
+    assert sampler.rafs(n) == []
+    assert sampler.unit() == RafSampler(alts3, 21).unit()
+    sampler.raf()
+    assert sampler.rafs(n) == []
+    fresh = RafSampler(alts3, 21)
+    fresh.unit(), fresh.raf()
+    assert sampler.unit() == fresh.unit()
 
 
 class Scripted:
