@@ -24,7 +24,6 @@ from .axioms import (
 )
 from .choice import (
     ChoiceCrossReport,
-    ChoiceResult,
     Menu,
     choose_by_utility,
     cross_validate_choice,
@@ -41,8 +40,6 @@ from .errors import (
 from .perturb import PerturbationSequences, perturbation_sequences
 from .preference import (
     KINDS,
-    WEAKLY_CONTINUOUS_KINDS,
-    WEAKLY_DOMINANT_KINDS,
     PreferenceOracle,
     PreferenceSpec,
     build_oracle,
@@ -79,7 +76,6 @@ __all__ = [
     "AxiomCheck",
     "AxiomReport",
     "ChoiceCrossReport",
-    "ChoiceResult",
     "ContinuityWitness",
     "DiagonalMonotonicityError",
     "DominanceHypothesisError",
@@ -99,8 +95,6 @@ __all__ = [
     "SequenceFamily",
     "UtilityResult",
     "ValidationError",
-    "WEAKLY_CONTINUOUS_KINDS",
-    "WEAKLY_DOMINANT_KINDS",
     "bottom",
     "build_oracle",
     "builtin_families",

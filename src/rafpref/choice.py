@@ -8,11 +8,11 @@ cycle) and raises :class:`MenuAxiomError` with it.
 
 :func:`choose_by_utility` goes through the constructed utility instead and
 returns every item within ``2 * tol`` of the best one, the resolution the
-brackets can actually certify.  :func:`cross_validate_choice` runs both and
-checks containment: tournament winners must land inside the utility band.
-The band may legitimately contain more (items a lexicographic-style oracle
-separates but utilities cannot); those are reported as band artifacts, not
-failures.
+brackets can actually certify, with every item's utility.  Both return
+labels in menu order.  :func:`cross_validate_choice` runs both and checks
+containment: tournament winners must land inside the utility band.  The
+band may legitimately contain more (items a lexicographic-style oracle
+separates but utilities cannot): band artifacts, not failures.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .errors import MenuAxiomError, ValidationError, _labels, _sequence
+from .errors import DiagonalMonotonicityError, MenuAxiomError, ValidationError, _labels, _sequence
 from .preference import PreferenceOracle
 from .raf import AlternativeSet, Raf
-from .utility import compute_u
+from .utility import UtilityResult, compute_u
 
 __all__ = [
     "Menu",
-    "ChoiceResult",
     "ChoiceCrossReport",
     "maximal_set",
     "choose_by_utility",
@@ -90,27 +89,6 @@ class Menu:
         return cls(alts, labels, items)
 
 
-@dataclass(frozen=True)
-class ChoiceResult:
-    """Chosen labels in menu order, plus how they were chosen."""
-
-    chosen: tuple[str, ...]
-    method: str
-    utilities: Mapping[str, float] | None = None
-
-    def __post_init__(self) -> None:
-        if not self.chosen:
-            raise ValidationError("a choice result cannot be empty")
-        if self.method not in ("tournament", "utility"):
-            raise ValidationError(f"unknown choice method {self.method!r}")
-
-    def to_dict(self) -> dict:
-        out: dict = {"chosen": list(self.chosen), "method": self.method}
-        if self.utilities is not None:
-            out["utilities"] = dict(self.utilities)
-        return out
-
-
 def _witness_hunt(oracle: PreferenceOracle, menu: Menu) -> MenuAxiomError:
     # An empty maximal set on a finite menu proves an axiom violation; find
     # one to report.  First look for an incomparable pair (connectedness,
@@ -156,8 +134,8 @@ def _witness_hunt(oracle: PreferenceOracle, menu: Menu) -> MenuAxiomError:
         path.append(nxt)
 
 
-def maximal_set(oracle: PreferenceOracle, menu: Menu) -> ChoiceResult:
-    """Items weakly preferred to every menu item, by direct tournament.
+def maximal_set(oracle: PreferenceOracle, menu: Menu) -> tuple[str, ...]:
+    """Labels of the items weakly preferred to every menu item, by direct tournament.
 
     A champion sweep finds one plausible winner; only items weakly preferred
     to the champion can be maximal, and each of those is verified against
@@ -180,16 +158,28 @@ def maximal_set(oracle: PreferenceOracle, menu: Menu) -> ChoiceResult:
     ]
     if not chosen:
         raise _witness_hunt(oracle, menu)
-    return ChoiceResult(tuple(chosen), "tournament")
+    return tuple(chosen)
 
 
-def choose_by_utility(oracle: PreferenceOracle, menu: Menu, tol: float) -> ChoiceResult:
-    """Items whose computed utility is within ``2 * tol`` of the menu's best."""
-    results = {label: compute_u(oracle, item, tol) for label, item in menu.pairs()}
-    utilities = {label: r.u for label, r in results.items()}
+def _scores(oracle: PreferenceOracle, menu: Menu, tol: float) -> list[UtilityResult]:
+    """:func:`compute_u` of each item in menu order; a bisection failure names its item."""
+    results = []
+    for label, item in menu.pairs():
+        try:
+            results.append(compute_u(oracle, item, tol))
+        except DiagonalMonotonicityError as exc:
+            raise exc.in_context(f"while scoring item {label!r}") from exc
+    return results
+
+
+def choose_by_utility(
+    oracle: PreferenceOracle, menu: Menu, tol: float
+) -> tuple[tuple[str, ...], dict[str, float]]:
+    """Labels within ``2 * tol`` of the menu's best utility, and every item's utility."""
+    utilities = {label: r.u for label, r in zip(menu.labels, _scores(oracle, menu, tol))}
     best = max(utilities.values())
-    chosen = tuple(label for label in menu.labels if utilities[label] >= best - 2.0 * tol)
-    return ChoiceResult(chosen, "utility", utilities=utilities)
+    band = tuple(label for label in menu.labels if utilities[label] >= best - 2.0 * tol)
+    return band, utilities
 
 
 @dataclass(frozen=True)
@@ -220,9 +210,7 @@ class ChoiceCrossReport:
         }
 
 
-def cross_validate_choice(
-    oracle: PreferenceOracle, menu: Menu, tol: float
-) -> tuple[bool, ChoiceCrossReport]:
+def cross_validate_choice(oracle: PreferenceOracle, menu: Menu, tol: float) -> ChoiceCrossReport:
     """Run both choice routes and check the tournament sits inside the band.
 
     Band items missing from the tournament are reported as artifacts of the
@@ -230,18 +218,14 @@ def cross_validate_choice(
     the band (an escapee) is a genuine disagreement.
     """
     tournament = maximal_set(oracle, menu)
-    by_utility = choose_by_utility(oracle, menu, tol)
-    band = set(by_utility.chosen)
-    escaped = tuple(label for label in tournament.chosen if label not in band)
-    artifacts = tuple(
-        label for label in by_utility.chosen if label not in set(tournament.chosen)
-    )
-    report = ChoiceCrossReport(
-        tournament=tournament.chosen,
-        utility_band=by_utility.chosen,
-        escaped=escaped,
-        band_artifacts=artifacts,
-        utilities=dict(by_utility.utilities or {}),
+    band, utilities = choose_by_utility(oracle, menu, tol)
+    in_band = set(band)
+    won = set(tournament)
+    return ChoiceCrossReport(
+        tournament=tournament,
+        utility_band=band,
+        escaped=tuple(label for label in tournament if label not in in_band),
+        band_artifacts=tuple(label for label in band if label not in won),
+        utilities=utilities,
         tol=float(tol),
     )
-    return report.agreed, report

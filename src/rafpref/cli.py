@@ -14,9 +14,11 @@ Five subcommands cover the package's workflows:
   pointwise dominating pair.
 
 Exit codes: 0 success, 1 input error, 2 axiom or representation finding,
-3 diagonal monotonicity failure inside a bisection.  Reports embed the seed
-and counts that produced them and contain nothing volatile, so a rerun with
-the same flags writes byte-identical payloads.
+3 diagonal monotonicity failure inside a bisection.  Each handler returns
+its report text and exit code, and ``main`` writes the text, to ``--out``
+or to stdout.  Reports embed the seed and counts that produced them and
+contain nothing volatile, so a rerun with the same flags writes
+byte-identical payloads.
 
 The argument parser is built once per process, at the first ``main`` call,
 and reused: parsing does not change it, and every call gets a fresh
@@ -43,7 +45,7 @@ from .axioms import (
     falsify_weak_continuity,
     falsify_weak_dominance,
 )
-from .choice import Menu, cross_validate_choice
+from .choice import Menu, _scores, cross_validate_choice
 from .errors import (
     DiagonalMonotonicityError,
     MenuAxiomError,
@@ -52,10 +54,10 @@ from .errors import (
     _sequence,
 )
 from .perturb import perturbation_sequences
-from .preference import PreferenceSpec, build_oracle
+from .preference import PreferenceOracle, PreferenceSpec, build_oracle
 from .raf import AlternativeSet, Raf, strictly_dominates, sup_distance
 from .sampling import RafSampler
-from .utility import compute_u, validate_representation
+from .utility import validate_representation
 
 __all__ = ["main", "entrypoint"]
 
@@ -106,25 +108,30 @@ def _agreed_labels(named: Mapping[str, Sequence[str] | None]) -> tuple[str, ...]
     return given[0][1] if given else None
 
 
-def _resolve_alts(
-    args: argparse.Namespace, file_alts: tuple[str, ...] | None, spec: PreferenceSpec
-) -> AlternativeSet:
+def _sampled_setup(args: argparse.Namespace) -> tuple[PreferenceSpec, PreferenceOracle, RafSampler]:
+    """Labels from ``--alts`` or the spec file, else the kind's defaults."""
+    spec, file_alts = _load_spec(args.spec)
     flag = None if args.alts is None else args.alts.split(",")
     labels = _agreed_labels({"--alts": flag, f"spec file {args.spec}": file_alts})
-    if labels is not None:
-        return AlternativeSet(labels)
-    if spec.kind == "additive" and spec.weights:
-        return AlternativeSet(_generated_labels(len(spec.weights)))
-    if spec.kind == "lexicographic" and spec.priority:
-        return AlternativeSet(spec.priority)
-    return AlternativeSet(_generated_labels(5))
+    if labels is None:
+        if spec.kind == "additive" and spec.weights:
+            labels = _generated_labels(len(spec.weights))
+        elif spec.kind == "lexicographic" and spec.priority:
+            labels = spec.priority
+        else:
+            labels = _generated_labels(5)
+    alts = AlternativeSet(labels)
+    return spec, build_oracle(spec, alts), RafSampler(alts, args.seed)
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text, encoding="utf-8")
+def _labeled_setup(
+    args: argparse.Namespace, path: str, what: str
+) -> tuple[PreferenceSpec, Menu, PreferenceOracle]:
+    """Labeled points from ``path``, called ``what`` in errors, over the spec file's labels."""
+    spec, file_alts = _load_spec(args.spec)
+    points = Menu.from_dict(_load_json(path))
+    _agreed_labels({f"spec file {args.spec}": file_alts, f"{what} {path}": points.alts.labels})
+    return spec, points, build_oracle(spec, points.alts)
 
 
 def _to_json(payload: Mapping) -> str:
@@ -145,18 +152,15 @@ def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mappin
     return buf.getvalue()
 
 
-def _cmd_check_axioms(args: argparse.Namespace) -> int:
-    spec, file_alts = _load_spec(args.spec)
-    alts = _resolve_alts(args, file_alts, spec)
-    oracle = build_oracle(spec, alts)
-    sampler = RafSampler(alts, args.seed)
+def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
+    spec, oracle, sampler = _sampled_setup(args)
 
     order = check_order_axioms(oracle, sampler, args.pairs, args.triples)
     dominance_samples, dominance_witness = falsify_weak_dominance(
         oracle, sampler, args.pairs
     ) or (args.pairs + 1, None)
     loci = (0.5, spec.cutoff) if spec.cutoff is not None else (0.5,)
-    families = builtin_families(alts, loci=loci)
+    families = builtin_families(oracle.alts, loci=loci)
     continuity_witness = falsify_weak_continuity(oracle, families, args.depth)
 
     all_passed = (
@@ -170,7 +174,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
             "triples": args.triples,
             "depth": args.depth,
         },
-        "alts": list(alts.labels),
+        "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "oracle": oracle.name,
         "order_axioms": order.to_dict(),
@@ -200,72 +204,52 @@ def _cmd_check_axioms(args: argparse.Namespace) -> int:
         },
         "all_passed": all_passed,
     }
-    _emit(_to_json(payload), args.out)
-    return 0 if all_passed else 2
+    return _to_json(payload), 0 if all_passed else 2
 
 
-def _cmd_build_utility(args: argparse.Namespace) -> int:
-    spec, file_alts = _load_spec(args.spec)
-    collection = Menu.from_dict(_load_json(args.rafs))
-    _agreed_labels(
-        {f"spec file {args.spec}": file_alts, f"RAF file {args.rafs}": collection.alts.labels}
-    )
-    oracle = build_oracle(spec, collection.alts)
+def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
+    spec, collection, oracle = _labeled_setup(args, args.rafs, "RAF file")
     print(
         f"note: {oracle.name} has not been screened here; run check-axioms first "
         "(the bisection detects only diagonal violations)",
         file=sys.stderr,
     )
-    rows = []
-    for label, raf in collection.pairs():
-        try:
-            result = compute_u(oracle, raf, args.tol)
-        except DiagonalMonotonicityError as exc:
-            raise exc.in_context(f"while scoring item {label!r}") from exc
-        rows.append({"label": label, "values": list(raf.values), **result.to_dict()})
+    rows = [
+        {"label": label, "values": list(raf.values), **result.to_dict()}
+        for (label, raf), result in zip(collection.pairs(), _scores(oracle, collection, args.tol))
+    ]
 
     if args.format == "csv":
         header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
         columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
-        _emit(_to_csv(header, columns, rows), args.out)
-    else:
-        payload = {
-            "command": "build-utility",
-            "config": {"tol": args.tol},
-            "alts": list(collection.alts.labels),
-            "spec": spec.to_dict(),
-            "oracle": oracle.name,
-            "rows": rows,
-        }
-        _emit(_to_json(payload), args.out)
-    return 0
+        return _to_csv(header, columns, rows), 0
+    payload = {
+        "command": "build-utility",
+        "config": {"tol": args.tol},
+        "alts": list(collection.alts.labels),
+        "spec": spec.to_dict(),
+        "oracle": oracle.name,
+        "rows": rows,
+    }
+    return _to_json(payload), 0
 
 
-def _cmd_validate(args: argparse.Namespace) -> int:
-    spec, file_alts = _load_spec(args.spec)
-    alts = _resolve_alts(args, file_alts, spec)
-    oracle = build_oracle(spec, alts)
-    sampler = RafSampler(alts, args.seed)
+def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
+    spec, oracle, sampler = _sampled_setup(args)
     report = validate_representation(oracle, sampler, args.pairs, args.tol)
     payload = {
         "command": "validate",
         "config": {"seed": args.seed, "tol": args.tol, "pairs": args.pairs},
-        "alts": list(alts.labels),
+        "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "report": report.to_dict(),
     }
-    _emit(_to_json(payload), args.out)
-    return 0 if not report.violations else 2
+    return _to_json(payload), 0 if not report.violations else 2
 
 
-def _cmd_choose(args: argparse.Namespace) -> int:
-    spec, file_alts = _load_spec(args.spec)
-    menu = Menu.from_dict(_load_json(args.menu))
-    _agreed_labels(
-        {f"spec file {args.spec}": file_alts, f"menu file {args.menu}": menu.alts.labels}
-    )
-    oracle = build_oracle(spec, menu.alts)
-    agreed, report = cross_validate_choice(oracle, menu, args.tol)
+def _cmd_choose(args: argparse.Namespace) -> tuple[str, int]:
+    spec, menu, oracle = _labeled_setup(args, args.menu, "menu file")
+    report = cross_validate_choice(oracle, menu, args.tol)
     payload = {
         "command": "choose",
         "config": {"tol": args.tol},
@@ -274,8 +258,7 @@ def _cmd_choose(args: argparse.Namespace) -> int:
         "oracle": oracle.name,
         "result": report.to_dict(),
     }
-    _emit(_to_json(payload), args.out)
-    return 0 if agreed else 2
+    return _to_json(payload), 0 if report.agreed else 2
 
 
 def _parse_list(text: str, what: str, kind: type = float) -> tuple:
@@ -286,7 +269,7 @@ def _parse_list(text: str, what: str, kind: type = float) -> tuple:
         raise ValidationError(f"{what} must be comma-separated {items}, got {text!r}") from None
 
 
-def _cmd_demo_sequences(args: argparse.Namespace) -> int:
+def _cmd_demo_sequences(args: argparse.Namespace) -> tuple[str, int]:
     upper_values = _parse_list(args.upper, "--upper")
     if args.alts is not None:
         alts = AlternativeSet(tuple(args.alts.split(",")))
@@ -323,23 +306,21 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> int:
             "bound",
         ]
         columns = ("n", "upper", "lower", "strictly_dominates", "dist_upper", "dist_lower", "bound")
-        _emit(_to_csv(header, columns, rows), args.out)
-    else:
-        payload = {
-            "command": "demo-sequences",
-            "alts": list(alts.labels),
-            "upper": list(upper.values),
-            "lower": list(lower.values),
-            "partition": {
-                "at_one": list(sequences.at_one),
-                "at_zero": list(sequences.at_zero),
-                "tied_interior": list(sequences.tied_interior),
-                "interior_margin": sequences.interior_margin,
-            },
-            "terms": rows,
-        }
-        _emit(_to_json(payload), args.out)
-    return 0
+        return _to_csv(header, columns, rows), 0
+    payload = {
+        "command": "demo-sequences",
+        "alts": list(alts.labels),
+        "upper": list(upper.values),
+        "lower": list(lower.values),
+        "partition": {
+            "at_one": list(sequences.at_one),
+            "at_zero": list(sequences.at_zero),
+            "tied_interior": list(sequences.tied_interior),
+            "interior_margin": sequences.interior_margin,
+        },
+        "terms": rows,
+    }
+    return _to_json(payload), 0
 
 
 @functools.cache
@@ -400,10 +381,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Parse arguments and dispatch; returns the process exit code."""
+    """Parse arguments, run the handler and write its report; returns the exit code."""
     try:
         args = _build_parser().parse_args(argv)
-        return args.handler(args)
+        text, code = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            Path(args.out).write_text(text, encoding="utf-8")
+        return code
     except SystemExit as exc:  # argparse exits after printing --help
         return exc.code
     except DiagonalMonotonicityError as exc:

@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DominanceHypothesisError, _count
-from .raf import Raf, pointwise_dominates
+from .raf import Raf, _require_same_alts
 
 __all__ = ["PerturbationSequences", "perturbation_sequences"]
 
@@ -98,34 +98,29 @@ def perturbation_sequences(upper: Raf, lower: Raf) -> PerturbationSequences:
     coordinate, when ``upper`` does not pointwise dominate ``lower``.  The
     two RAFs may be equal; every coordinate is then a tie.
     """
-    if not pointwise_dominates(upper, lower):
-        label, uv, lv = next(
-            (l, x, y)
-            for l, x, y in zip(upper.alts.labels, upper.values, lower.values)
-            if x < y
-        )
-        raise DominanceHypothesisError(
-            f"pointwise dominance fails at {label!r}: {uv!r} < {lv!r}"
-        )
+    _require_same_alts(upper, lower)
     at_one = []
     at_zero = []
     tied_interior = []
+    # Interior ties lie below 1, so with none the margin is the placeholder 0.5.
+    smallest_tie = 1.0
     for label, uv, lv in zip(upper.alts.labels, upper.values, lower.values):
+        if uv < lv:
+            raise DominanceHypothesisError(
+                f"pointwise dominance fails at {label!r}: {uv!r} < {lv!r}"
+            )
         if uv == lv == 1.0:
             at_one.append(label)
         elif uv == lv == 0.0:
             at_zero.append(label)
         elif uv == lv:
             tied_interior.append(label)
-    if tied_interior:
-        margin = 0.5 * min(lower.value(label) for label in tied_interior)
-    else:
-        margin = 0.5
+            smallest_tie = min(smallest_tie, lv)
     return PerturbationSequences(
         upper=upper,
         lower=lower,
         at_one=tuple(at_one),
         at_zero=tuple(at_zero),
         tied_interior=tuple(tied_interior),
-        interior_margin=margin,
+        interior_margin=0.5 * smallest_tie,
     )

@@ -38,8 +38,6 @@ from .raf import AlternativeSet, Raf
 
 __all__ = [
     "KINDS",
-    "WEAKLY_DOMINANT_KINDS",
-    "WEAKLY_CONTINUOUS_KINDS",
     "PreferenceSpec",
     "PreferenceOracle",
     "build_oracle",
@@ -50,14 +48,6 @@ __all__ = [
 KINDS = frozenset(
     {"additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"}
 )
-
-#: Built-in kinds for which coordinatewise strict improvement is always
-#: strictly preferred.
-WEAKLY_DOMINANT_KINDS = frozenset({"additive", "min", "geometric", "lexicographic"})
-
-#: Built-in kinds for which termwise strict preference survives passage to the
-#: limit (as a weak preference).
-WEAKLY_CONTINUOUS_KINDS = frozenset({"additive", "min", "geometric", "anti_monotone"})
 
 #: Each hinted kind's closed-form diagonal inverse: the level ``t`` whose
 #: constant point over ``k`` alternatives has the given key.  It is only a

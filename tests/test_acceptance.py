@@ -240,8 +240,8 @@ def test_choice_coherence():
             argmax = tuple(
                 label for label, item in menu.pairs() if oracle.key(item) >= best
             )
-            agreed, report = cross_validate_choice(oracle, menu, tol)
-            if report.tournament != argmax or not agreed:
+            report = cross_validate_choice(oracle, menu, tol)
+            if report.tournament != argmax or not report.agreed:
                 discrepancies += 1
 
     alts2 = rp.AlternativeSet(("a", "b"))
@@ -253,9 +253,9 @@ def test_choice_coherence():
         ("good_tail", "poor_tail"),
         (make_raf(alts2, (0.5, 0.9)), make_raf(alts2, (0.5, 0.1))),
     )
-    agreed, report = cross_validate_choice(lex, tied_menu, tol)
+    report = cross_validate_choice(lex, tied_menu, tol)
     lex_ok = (
-        agreed
+        report.agreed
         and report.tournament == ("good_tail",)
         and report.band_artifacts == ("poor_tail",)
     )

@@ -57,24 +57,24 @@ class TestMaximalSet:
     def test_top_beats_bottom(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
         menu = Menu(alts3, ("all", "none"), (top(alts3), bottom(alts3)))
-        assert maximal_set(oracle, menu).chosen == ("all",)
+        assert maximal_set(oracle, menu) == ("all",)
 
     def test_singleton_menu(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
         menu = menu_of(alts3, [("only", (0.4, 0.2, 0.9))])
-        assert maximal_set(oracle, menu).chosen == ("only",)
+        assert maximal_set(oracle, menu) == ("only",)
 
     def test_best_mean_wins(self, alts2, oracle_factory):
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(
             alts2, [("left", (0.9, 0.1)), ("mid", (0.5, 0.5)), ("right", (0.2, 0.9))]
         )
-        assert maximal_set(oracle, menu).chosen == ("right",)
+        assert maximal_set(oracle, menu) == ("right",)
 
     def test_ties_keep_every_winner(self, alts2, oracle_factory):
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(alts2, [("left", (0.9, 0.1)), ("right", (0.1, 0.9))])
-        assert maximal_set(oracle, menu).chosen == ("left", "right")
+        assert maximal_set(oracle, menu) == ("left", "right")
 
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
     def test_matches_exact_key_argmax(self, alts3, oracle_factory, kind):
@@ -88,7 +88,7 @@ class TestMaximalSet:
             expected = tuple(
                 label for label, item in menu.pairs() if oracle.key(item) >= best
             )
-            assert maximal_set(oracle, menu).chosen == expected
+            assert maximal_set(oracle, menu) == expected
 
     def test_incomparable_menu_raises_with_witness(self, alts2):
         oracle = PreferenceOracle("never", alts2, lambda a, b: False)
@@ -125,23 +125,22 @@ class TestChooseByUtility:
     def test_diagonal_menu(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
         menu = Menu(alts3, ("low", "high"), (scale_top(0.2, alts3), scale_top(0.8, alts3)))
-        result = choose_by_utility(oracle, menu, TOL)
-        assert result.chosen == ("high",)
-        assert result.utilities["low"] == pytest.approx(0.2, abs=TOL)
-        assert result.utilities["high"] == pytest.approx(0.8, abs=TOL)
+        band, utilities = choose_by_utility(oracle, menu, TOL)
+        assert band == ("high",)
+        assert utilities["low"] == pytest.approx(0.2, abs=TOL)
+        assert utilities["high"] == pytest.approx(0.8, abs=TOL)
 
     def test_tied_means_stay_in_the_band(self, alts2, oracle_factory):
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(alts2, [("left", (0.9, 0.1)), ("right", (0.1, 0.9))])
-        result = choose_by_utility(oracle, menu, TOL)
-        assert result.chosen == ("left", "right")
+        band, _ = choose_by_utility(oracle, menu, TOL)
+        assert band == ("left", "right")
 
     def test_singleton(self, alts2, oracle_factory):
         oracle = oracle_factory("min", alts2)
         menu = menu_of(alts2, [("only", (0.3, 0.8))])
-        result = choose_by_utility(oracle, menu, TOL)
-        assert result.chosen == ("only",)
-        assert result.method == "utility"
+        band, _ = choose_by_utility(oracle, menu, TOL)
+        assert band == ("only",)
 
 
 class TestCrossValidation:
@@ -152,8 +151,8 @@ class TestCrossValidation:
             for size in (1, 3, 8):
                 items = tuple(sampler.raf() for _ in range(size))
                 menu = Menu(alts3, tuple(f"m{i}" for i in range(size)), items)
-                agreed, report = cross_validate_choice(oracle, menu, TOL)
-                assert agreed
+                report = cross_validate_choice(oracle, menu, TOL)
+                assert report.agreed
                 assert not report.escaped
 
     def test_lexicographic_band_artifact_is_reported(self, alts2, oracle_factory):
@@ -161,8 +160,8 @@ class TestCrossValidation:
         # bracketed utility: the tournament picks one, the band keeps both.
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
         menu = menu_of(alts2, [("good_tail", (0.5, 0.9)), ("poor_tail", (0.5, 0.1))])
-        agreed, report = cross_validate_choice(oracle, menu, TOL)
-        assert agreed
+        report = cross_validate_choice(oracle, menu, TOL)
+        assert report.agreed
         assert report.tournament == ("good_tail",)
         assert report.utility_band == ("good_tail", "poor_tail")
         assert report.band_artifacts == ("poor_tail",)
@@ -171,7 +170,7 @@ class TestCrossValidation:
     def test_report_serializes(self, alts2, oracle_factory):
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(alts2, [("x", (0.4, 0.4)), ("y", (0.6, 0.6))])
-        _, report = cross_validate_choice(oracle, menu, TOL)
+        report = cross_validate_choice(oracle, menu, TOL)
         doc = report.to_dict()
         assert doc["agreed"] is True
         assert doc["tournament"] == ["y"]

@@ -350,6 +350,14 @@ class TestChoose:
         assert rc == 2
         assert "incomparable" in capsys.readouterr().err
 
+    def test_diagonal_violation_names_the_item(self, capsys):
+        golden = Path(__file__).parent / "golden"
+        rc = cli.main(
+            ["choose", "--spec", str(golden / "spec_anti.json"), "--menu", str(golden / "menu.json")]
+        )
+        assert rc == 3
+        assert capsys.readouterr().err.endswith("(while scoring item 'left')\n")
+
     def test_csv_format_is_rejected(self, additive_spec, menu_file, capsys):
         rc = cli.main(
             ["choose", "--spec", additive_spec, "--menu", menu_file, "--format", "csv"]

@@ -2,9 +2,10 @@
 
 Each case runs one subcommand on the inputs under ``tests/golden/`` and
 compares the exit code, the report bytes and the stderr text with the
-files recorded next to them.  The determinism tests compare two runs of
-the same code; these compare against recorded output, so a refactor that
-changes a single byte of a report fails here.
+files recorded next to them, once with the report written to ``--out``
+and once to stdout.  The determinism tests compare two runs of the same
+code; these compare against recorded output, so a refactor that changes a
+single byte of a report fails here.
 
 A change that alters output on purpose re-records the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -88,6 +89,29 @@ def test_output_matches_recording(name, tmp_path):
     assert rc == CASES[name][1]
     assert report == (GOLDEN / f"{name}.out").read_bytes()
     assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def run_to_stdout(argv: list[str]) -> tuple[int, bytes, str]:
+    """Run ``argv`` without ``--out``; return its exit code, stdout bytes and stderr text."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(_inputs(argv))
+    return rc, out.getvalue().encode("utf-8"), err.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_matches_recording(name):
+    rc, report, err = run_to_stdout(CASES[name][0])
+    assert rc == CASES[name][1]
+    assert report == (GOLDEN / f"{name}.out").read_bytes()
+    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+
+
+def test_unwritable_out_exits_one_and_prints_nothing(tmp_path):
+    rc, report, err = run_to_stdout([*CASES["choose_additive"][0], "--out", str(tmp_path)])
+    assert rc == 1
+    assert err.splitlines()[-1].startswith("error: ")
+    assert report == b""
 
 
 def _matches_recording(name: str, out: Path) -> bool:

@@ -50,6 +50,13 @@ class TestPartition:
         with pytest.raises(rp.DominanceHypothesisError, match="'b'"):
             perturbation_sequences(upper, lower)
 
+    def test_hypothesis_failure_names_the_first_of_two_coordinates(self, alts3):
+        upper = make_raf(alts3, (0.9, 0.2, 0.4))
+        lower = make_raf(alts3, (0.9, 0.3, 0.5))
+        with pytest.raises(rp.DominanceHypothesisError) as excinfo:
+            perturbation_sequences(upper, lower)
+        assert str(excinfo.value) == "pointwise dominance fails at 'b': 0.2 < 0.3"
+
     def test_mismatched_alternative_sets(self, alts2, alts3):
         with pytest.raises(rp.AlternativeSetMismatchError):
             perturbation_sequences(top(alts2), bottom(alts3))
