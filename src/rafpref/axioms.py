@@ -37,7 +37,9 @@ __all__ = [
 PASSED_SAMPLED = "passed_sampled"
 FALSIFIED = "falsified"
 
-#: The six ordered pairs of a triple's positions, in the order they are asked.
+#: The six ordered pairs of a triple's positions.  :data:`_TREE` names them
+#: by place; a probe that finds a triple intransitive asks the pairs it has
+#: not asked in this order.
 _PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
 
 #: Each ordering ``(x, y, z)`` of a triple, in ``permutations`` order, with
@@ -46,6 +48,47 @@ _PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
 _PERMS = tuple(
     ((x, y, z), _PAIRS.index((x, y)), _PAIRS.index((y, z)), _PAIRS.index((x, z)))
     for x, y, z in permutations(range(3))
+)
+
+_HOLDS, _BROKEN = -1, -2
+
+#: The transitivity probe's decision tree.  Node ``i`` is ``(q, no, yes)``:
+#: ask the pair ``_PAIRS[q]``, then go to node ``no`` or ``yes``, or stop at
+#: :data:`_HOLDS` (no ordering ``(x, y, z)`` can have ``x >= y``, ``y >= z``
+#: and not ``x >= z``) or :data:`_BROKEN` (some ordering must).  It asks 25/6
+#: queries on average over the six strict rankings of a triple, the least any
+#: tree can, 4 to 6 on every weak order, and never a pair twice.  Of the trees
+#: with that mean it asks the fewest queries over all 64 answer patterns.
+_TREE = (
+    (0, 1, 15),
+    (3, 2, 8),
+    (1, 3, 6),
+    (4, 4, _HOLDS),
+    (2, _HOLDS, 5),
+    (5, _HOLDS, _BROKEN),
+    (2, 7, _BROKEN),
+    (5, _HOLDS, _BROKEN),
+    (2, 9, 12),
+    (4, 10, _BROKEN),
+    (1, _HOLDS, 11),
+    (5, _HOLDS, _BROKEN),
+    (5, _HOLDS, 13),
+    (1, 14, _BROKEN),
+    (4, _BROKEN, _HOLDS),
+    (1, 16, 21),
+    (3, 17, _BROKEN),
+    (4, 18, 20),
+    (2, _HOLDS, 19),
+    (5, _HOLDS, _BROKEN),
+    (5, _BROKEN, _HOLDS),
+    (2, 22, 25),
+    (4, _HOLDS, 23),
+    (3, 24, _BROKEN),
+    (5, _BROKEN, _HOLDS),
+    (3, _BROKEN, 26),
+    (4, 27, 28),
+    (5, _HOLDS, _BROKEN),
+    (5, _BROKEN, _HOLDS),
 )
 
 
@@ -125,8 +168,13 @@ def check_order_axioms(
     """Probe reflexivity, connectedness and transitivity on random draws.
 
     Reflexivity and connectedness each use ``n_pairs`` draws, transitivity
-    uses ``n_triples`` triples, each with its six ordered queries asked once.
-    The first violation of each axiom is re-queried before it is reported.
+    uses ``n_triples`` triples.  A triple is probed along a decision tree
+    that asks each ordered pair at most once and stops as soon as the
+    answers settle transitivity: 25/6 queries on average over the strict
+    rankings, at most 6.  An intransitive triple has all six pairs asked,
+    and its witness is the first violated ordering in ``permutations``
+    order.  The first violation of each axiom is re-queried before it is
+    reported.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
     n_triples = _count("n_triples", n_triples, 1)
@@ -142,9 +190,21 @@ def check_order_axioms(
         return weak(x, y) and weak(y, z) and not weak(x, z)
 
     def broken_order(triple: Sequence[Raf]) -> tuple[Raf, Raf, Raf] | None:
-        # Six queries, each asked once in _PAIRS order, decide every ordering.
-        a, b, c = triple
-        rel = (weak(a, b), weak(a, c), weak(b, a), weak(b, c), weak(c, a), weak(c, b))
+        # Walk _TREE until the answers settle the triple.  An intransitive
+        # one has its other pairs asked too, so the witness is the first
+        # violated ordering in permutations order.
+        rel = [None] * 6
+        node = 0
+        while node >= 0:
+            q, no, yes = _TREE[node]
+            x, y = _PAIRS[q]
+            rel[q] = answer = weak(triple[x], triple[y])
+            node = yes if answer else no
+        if node == _HOLDS:
+            return None
+        for q, (x, y) in enumerate(_PAIRS):
+            if rel[q] is None:
+                rel[q] = weak(triple[x], triple[y])
         for (x, y, z), xy, yz, xz in _PERMS:
             if rel[xy] and rel[yz] and not rel[xz]:
                 return triple[x], triple[y], triple[z]

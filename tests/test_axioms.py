@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import functools
+from fractions import Fraction
 from itertools import permutations, product
 
 import numpy as np
@@ -150,28 +152,109 @@ def table_oracle(alts, points, answers, log):
     return PreferenceOracle("table", alts, query)
 
 
+PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
+PATTERNS = list(product((False, True), repeat=6))
+
+
+def intransitive(rel):
+    """Whether the answers ``rel``, one per pair of PAIRS, break transitivity."""
+    at = dict(zip(PAIRS, rel))
+    return any(at[x, y] and at[y, z] and not at[x, z] for x, y, z in permutations(range(3)))
+
+
+def fits(state, rel):
+    return all(s is None or s == r for s, r in zip(state, rel))
+
+
+@functools.cache
+def settled(state):
+    """Whether the partial answers ``state`` (None where unasked) decide transitivity."""
+    return len({intransitive(p) for p in PATTERNS if fits(state, p)}) == 1
+
+
+def settled_after(probe, answers):
+    """How many of the probe's first queries settle the triple, or None."""
+    state = [None] * 6
+    for k, pair in enumerate(probe):
+        if settled(tuple(state)):
+            return k
+        state[PAIRS.index(pair)] = answers[pair]
+    return len(probe) if settled(tuple(state)) else None
+
+
 def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2):
     points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
-    pairs = [(x, y) for x in range(3) for y in range(3) if x != y]
     roles = ("first", "second", "third")
-    for pattern in product((False, True), repeat=6):
-        answers = dict(zip(pairs, pattern))
-        log, reference_log = [], []
+    for pattern in PATTERNS:
+        answers = dict(zip(PAIRS, pattern))
+        log = []
         oracle = table_oracle(alts2, points, answers, log)
         report = check_order_axioms(oracle, FixedSampler(points), 1, 1)
-        reference = table_oracle(alts2, points, answers, reference_log)
+        reference = table_oracle(alts2, points, answers, [])
         witness = reference_broken_order(reference.weak_prefers, points)
-        # Reflexivity and connectedness ask (0, 0) once each; then the probe.
+        # Reflexivity and connectedness ask (0, 0) once each; then the probe
+        # and, after a witness, its replay.
         assert log[:2] == [(0, 0), (0, 0)], pattern
-        assert log[2:8] == reference_log == pairs, pattern
         check = report.check("transitivity")
         if witness is None:
-            assert check.verdict == rp.PASSED_SAMPLED and log[8:] == [], pattern
+            probe = log[2:]
+            assert check.verdict == rp.PASSED_SAMPLED, pattern
         else:
+            probe, replay = log[2:-3], log[-3:]
             x, y, z = (points.index(p) for p in witness)
             assert check.verdict == rp.FALSIFIED and check.samples == 1, pattern
             assert check.witness == {r: p.to_dict() for r, p in zip(roles, witness)}, pattern
-            assert log[8:] == [(x, y), (y, z), (x, z)], pattern  # the replay
+            assert replay == [(x, y), (y, z), (x, z)], pattern
+        assert len(set(probe)) == len(probe) <= 6, pattern
+        # The probe stops as soon as its answers settle the triple; an
+        # intransitive one then has its other pairs asked in PAIRS order.
+        k = settled_after(probe, answers)
+        assert k is not None, pattern
+        rest = [] if witness is None else [p for p in PAIRS if p not in probe[:k]]
+        assert probe[k:] == rest, pattern
+
+
+def probe_cost(points, answers):
+    """Queries the transitivity probe asks on one triple."""
+    log = []
+    oracle = table_oracle(points[0].alts, points, answers, log)
+    check_order_axioms(oracle, FixedSampler(points), 1, 1)
+    return len(log) - 2  # after reflexivity's and connectedness' one query each
+
+
+def ranking_answers(rank):
+    # The answers of a weak order: a point is weakly preferred to another
+    # when its rank is at least as high.
+    return {(i, j): rank[i] >= rank[j] for i, j in PAIRS}
+
+
+def test_transitivity_probe_costs_25_sixths_on_strict_rankings(alts2):
+    points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
+    costs = [probe_cost(points, ranking_answers(r)) for r in permutations(range(3))]
+    assert Fraction(sum(costs), len(costs)) == Fraction(25, 6)
+    weak_orders = {tuple(sorted(ranking_answers(r).items())) for r in product(range(3), repeat=3)}
+    assert len(weak_orders) == 13
+    assert {probe_cost(points, dict(w)) for w in weak_orders} <= {4, 5, 6}
+
+
+def test_no_transitivity_probe_beats_25_sixths():
+    # Exhaustive search over the 3**6 partial-answer states: the least
+    # total cost over the six strict rankings of any tree that settles
+    # every answer pattern.
+    strict = [tuple(r[x] > r[y] for x, y in PAIRS) for r in permutations(range(3))]
+
+    @functools.cache
+    def least(state):
+        if settled(state):
+            return 0
+        here = sum(fits(state, r) for r in strict)
+        return min(
+            here + sum(least(state[:q] + (a,) + state[q + 1:]) for a in (False, True))
+            for q in range(6)
+            if state[q] is None
+        )
+
+    assert least((None,) * 6) == 25
 
 
 def stream_points(alts, seed, count):
@@ -385,9 +468,9 @@ class TestReplayGuard:
     @pytest.mark.parametrize(
         "scenario, broken, queries",
         [
-            ("reflexivity", never_oracle, 350),
-            ("connectedness", never_oracle, 350),
-            ("transitivity", cyclic_oracle, 292),
+            ("reflexivity", never_oracle, 310),
+            ("connectedness", never_oracle, 310),
+            ("transitivity", cyclic_oracle, 281),
             ("dominance", never_oracle, 63),
             ("continuity", "lexicographic", 50),
         ],
