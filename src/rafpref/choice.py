@@ -18,7 +18,7 @@ separates but utilities cannot): band artifacts, not failures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .errors import DiagonalMonotonicityError, MenuAxiomError, ValidationError, _labels, _sequence
 from .preference import PreferenceOracle
@@ -89,16 +89,13 @@ class Menu:
         return cls(alts, labels, items)
 
 
-def _witness_hunt(oracle: PreferenceOracle, menu: Menu) -> MenuAxiomError:
+def _witness_hunt(weak: Callable[[int, int], bool], menu: Menu) -> MenuAxiomError:
     # An empty maximal set on a finite menu proves an axiom violation; find
     # one to report.  First look for an incomparable pair (connectedness,
     # including an item incomparable with itself), then follow strict
-    # improvements until they loop (transitivity).
+    # improvements until they loop (transitivity).  ``weak(i, j)`` answers
+    # whether item i is weakly preferred to item j.
     n = len(menu)
-
-    def weak(i: int, j: int) -> bool:
-        return oracle.weak_prefers(menu.items[i], menu.items[j])
-
     for i in range(n):
         for j in range(i, n):
             if not weak(i, j) and not weak(j, i):
@@ -139,25 +136,31 @@ def maximal_set(oracle: PreferenceOracle, menu: Menu) -> tuple[str, ...]:
 
     A champion sweep finds one plausible winner; only items weakly preferred
     to the champion can be maximal, and each of those is verified against
-    the whole menu.  Cost is linear in the menu for well-behaved oracles,
-    quadratic at worst.  Raises :class:`MenuAxiomError` when no item
-    survives, with a witness of the violated axiom.
+    the whole menu.  Each ordered pair is asked at most once per call, the
+    witness hunt included: the candidate pass and the verification reuse
+    the sweep's answers.  On a strict ranking of n >= 2 items that is at
+    most ``3n - 3`` queries; cost is linear in the menu for well-behaved
+    oracles, quadratic at worst.  Raises :class:`MenuAxiomError` when no
+    item survives, with a witness of the violated axiom.
     """
     items = menu.items
+    n = len(items)
+    answers: dict[tuple[int, int], bool] = {}
+
+    def weak(i: int, j: int) -> bool:
+        answer = answers.get((i, j))
+        if answer is None:
+            answer = answers[i, j] = oracle.weak_prefers(items[i], items[j])
+        return answer
+
     champion = 0
-    for i in range(1, len(items)):
-        if oracle.weak_prefers(items[i], items[champion]):
+    for i in range(1, n):
+        if weak(i, champion):
             champion = i
-    candidates = [
-        i for i in range(len(items)) if oracle.weak_prefers(items[i], items[champion])
-    ]
-    chosen = [
-        menu.labels[i]
-        for i in candidates
-        if all(oracle.weak_prefers(items[i], b) for b in items)
-    ]
+    candidates = [i for i in range(n) if weak(i, champion)]
+    chosen = [menu.labels[i] for i in candidates if all(weak(i, j) for j in range(n))]
     if not chosen:
-        raise _witness_hunt(oracle, menu)
+        raise _witness_hunt(weak, menu)
     return tuple(chosen)
 
 

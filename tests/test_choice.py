@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from itertools import permutations, product
 
 import pytest
 
@@ -119,6 +120,61 @@ class TestMaximalSet:
         by_label = dict(menu.pairs())
         for later, earlier in zip(err.witness[1:], err.witness[:-1]):
             assert strictly_prefers(oracle, by_label[later], by_label[earlier])
+
+
+def table_menu(alts, n):
+    labels = tuple(f"m{i}" for i in range(n))
+    return Menu(alts, labels, tuple(scale_top(i / 8, alts) for i in range(n)))
+
+
+def table_oracle(menu, rel, log):
+    # Answers ``rel[i][j]`` for items i and j, logging each query by position.
+    position = {item.values: i for i, item in enumerate(menu.items)}
+
+    def query(a, b):
+        i, j = position[a.values], position[b.values]
+        log.append((i, j))
+        return rel[i][j]
+
+    return PreferenceOracle("table", menu.alts, query)
+
+
+class TestMaximalSetOnEveryRelation:
+    """Table oracles over every relation on 1, 2 and 3 items."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_definition_and_one_query_per_pair(self, alts2, n):
+        menu = table_menu(alts2, n)
+        for bits in product((False, True), repeat=n * n):
+            rel = [bits[i * n : (i + 1) * n] for i in range(n)]
+            log = []
+            oracle = table_oracle(menu, rel, log)
+            expected = tuple(menu.labels[i] for i in range(n) if all(rel[i]))
+            if expected:
+                assert maximal_set(oracle, menu) == expected, rel
+            else:
+                with pytest.raises(rp.MenuAxiomError) as excinfo:
+                    maximal_set(oracle, menu)
+                at = {label: i for i, label in enumerate(menu.labels)}
+                witness = [at[label] for label in excinfo.value.witness]
+                if excinfo.value.kind == "connectedness":
+                    i, j = witness
+                    assert not rel[i][j] and not rel[j][i], rel
+                else:
+                    assert witness[0] == witness[-1], rel
+                    for i, j in zip(witness[1:], witness[:-1]):
+                        assert rel[i][j] and not rel[j][i], rel
+            assert len(set(log)) == len(log), rel
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_a_strict_ranking_costs_at_most_3n_minus_3(self, alts2, n):
+        menu = table_menu(alts2, n)
+        for rank in permutations(range(n)):
+            rel = [[rank[i] >= rank[j] for j in range(n)] for i in range(n)]
+            log = []
+            best = menu.labels[rank.index(n - 1)]
+            assert maximal_set(table_oracle(menu, rel, log), menu) == (best,)
+            assert len(log) <= 3 * n - 3, rank
 
 
 class TestChooseByUtility:
