@@ -29,13 +29,11 @@ from rafpref import (
     RafSampler,
     bottom,
     builtin_families,
-    choose_by_utility,
     compute_u,
     cross_validate_choice,
     falsify_weak_continuity,
     falsify_weak_dominance,
     make_raf,
-    maximal_set,
     membership,
     scale_top,
     strictly_prefers,

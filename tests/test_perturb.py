@@ -10,7 +10,6 @@ from rafpref import (
     bottom,
     make_raf,
     perturbation_sequences,
-    pointwise_dominates,
     strictly_dominates,
     sup_distance,
     top,
