@@ -152,6 +152,17 @@ def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mappin
     return buf.getvalue()
 
 
+def _table_report(
+    fmt: str,
+    header: Sequence[str],
+    columns: Sequence[str],
+    rows: Sequence[Mapping],
+    payload: Mapping,
+) -> str:
+    """``rows`` as CSV under ``header`` when ``fmt`` is ``"csv"``, else ``payload`` as JSON."""
+    return _to_csv(header, columns, rows) if fmt == "csv" else _to_json(payload)
+
+
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
     spec, oracle, sampler = _sampled_setup(args)
 
@@ -218,11 +229,8 @@ def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
         {"label": label, "values": list(raf.values), **result.to_dict()}
         for (label, raf), result in zip(collection.pairs(), _scores(oracle, collection, args.tol))
     ]
-
-    if args.format == "csv":
-        header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
-        columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
-        return _to_csv(header, columns, rows), 0
+    header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
+    columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
     payload = {
         "command": "build-utility",
         "config": {"tol": args.tol},
@@ -231,7 +239,7 @@ def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
         "oracle": oracle.name,
         "rows": rows,
     }
-    return _to_json(payload), 0
+    return _table_report(args.format, header, columns, rows, payload), 0
 
 
 def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
@@ -294,19 +302,16 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> tuple[str, int]:
                 "bound": 1.0 / (2.0 * n),
             }
         )
-
-    if args.format == "csv":
-        header = [
-            "n",
-            *[f"upper_{label}" for label in alts.labels],
-            *[f"lower_{label}" for label in alts.labels],
-            "strictly_dominates",
-            "dist_upper",
-            "dist_lower",
-            "bound",
-        ]
-        columns = ("n", "upper", "lower", "strictly_dominates", "dist_upper", "dist_lower", "bound")
-        return _to_csv(header, columns, rows), 0
+    header = [
+        "n",
+        *[f"upper_{label}" for label in alts.labels],
+        *[f"lower_{label}" for label in alts.labels],
+        "strictly_dominates",
+        "dist_upper",
+        "dist_lower",
+        "bound",
+    ]
+    columns = ("n", "upper", "lower", "strictly_dominates", "dist_upper", "dist_lower", "bound")
     payload = {
         "command": "demo-sequences",
         "alts": list(alts.labels),
@@ -320,7 +325,7 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> tuple[str, int]:
         },
         "terms": rows,
     }
-    return _to_json(payload), 0
+    return _table_report(args.format, header, columns, rows, payload), 0
 
 
 @functools.cache
@@ -330,7 +335,9 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # Each subcommand takes only the shared flags its handler reads.
-    def command(name, handler, summary, *, spec=True, seed=False, tol=False, formats=False):
+    def command(
+        name, handler, summary, *, spec=True, seed=False, tol=False, formats=False, alts=False
+    ):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if seed:
@@ -345,10 +352,13 @@ def _build_parser() -> _Parser:
             p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         if spec:
             p.add_argument("--spec", required=True, help="preference spec JSON file")
+        if alts:
+            p.add_argument("--alts", default=None, help="comma-separated alternative labels")
         return p
 
-    p = command("check-axioms", _cmd_check_axioms, "screen a spec against the axioms", seed=True)
-    p.add_argument("--alts", default=None, help="comma-separated alternative labels")
+    p = command(
+        "check-axioms", _cmd_check_axioms, "screen a spec against the axioms", seed=True, alts=True
+    )
     p.add_argument("--pairs", type=int, default=1000, help="sampled pairs per axiom")
     p.add_argument("--triples", type=int, default=1000, help="sampled triples for transitivity")
     p.add_argument("--depth", type=int, default=100, help="sequence depth for continuity")
@@ -360,9 +370,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--rafs", required=True, help="labeled RAF collection JSON file")
 
     p = command(
-        "validate", _cmd_validate, "check utilities against oracle answers", seed=True, tol=True
+        "validate", _cmd_validate, "check utilities against oracle answers",
+        seed=True, tol=True, alts=True,
     )
-    p.add_argument("--alts", default=None, help="comma-separated alternative labels")
     p.add_argument("--pairs", type=int, default=1000, help="sampled pairs to compare")
 
     p = command("choose", _cmd_choose, "choose from a menu, cross-validating both routes", tol=True)
