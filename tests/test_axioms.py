@@ -228,19 +228,10 @@ def ranking_answers(rank):
     return {(i, j): rank[i] >= rank[j] for i, j in PAIRS}
 
 
-def test_transitivity_probe_costs_25_sixths_on_strict_rankings(alts2):
-    points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
-    costs = [probe_cost(points, ranking_answers(r)) for r in permutations(range(3))]
-    assert Fraction(sum(costs), len(costs)) == Fraction(25, 6)
-    weak_orders = {tuple(sorted(ranking_answers(r).items())) for r in product(range(3), repeat=3)}
-    assert len(weak_orders) == 13
-    assert {probe_cost(points, dict(w)) for w in weak_orders} <= {4, 5, 6}
-
-
-def test_no_transitivity_probe_beats_25_sixths():
-    # Exhaustive search over the 3**6 partial-answer states: the least
-    # total cost over the six strict rankings of any tree that settles
-    # every answer pattern.
+def least_mean_cost():
+    """The least mean cost over the six strict rankings of any probe that
+    settles every answer pattern: an exhaustive search over the 3**6
+    partial-answer states."""
     strict = [tuple(r[x] > r[y] for x, y in PAIRS) for r in permutations(range(3))]
 
     @functools.cache
@@ -254,7 +245,16 @@ def test_no_transitivity_probe_beats_25_sixths():
             if state[q] is None
         )
 
-    assert least((None,) * 6) == 25
+    return Fraction(least((None,) * 6), len(strict))
+
+
+def test_transitivity_probe_cost_is_the_least_possible(alts2):
+    points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
+    costs = [probe_cost(points, ranking_answers(r)) for r in permutations(range(3))]
+    assert Fraction(sum(costs), len(costs)) == least_mean_cost() == Fraction(25, 6)
+    weak_orders = {tuple(sorted(ranking_answers(r).items())) for r in product(range(3), repeat=3)}
+    assert len(weak_orders) == 13
+    assert {probe_cost(points, dict(w)) for w in weak_orders} <= {4, 5, 6}
 
 
 def stream_points(alts, seed, count):
