@@ -138,8 +138,17 @@ def _to_json(payload: Mapping) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mapping]) -> str:
-    """Flatten JSON-ready ``rows``: a list-valued column fills one cell per entry."""
+def _table_report(
+    fmt: str,
+    header: Sequence[str],
+    columns: Sequence[str],
+    rows: Sequence[Mapping],
+    payload: Mapping,
+) -> str:
+    """``payload`` as JSON, or for ``fmt`` ``"csv"`` the JSON-ready ``rows``
+    flattened under ``header``: a list-valued column fills one cell per entry."""
+    if fmt == "json":
+        return _to_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -150,17 +159,6 @@ def _to_csv(header: Sequence[str], columns: Sequence[str], rows: Sequence[Mappin
             cells.extend(value if isinstance(value, list) else [value])
         writer.writerow(cells)
     return buf.getvalue()
-
-
-def _table_report(
-    fmt: str,
-    header: Sequence[str],
-    columns: Sequence[str],
-    rows: Sequence[Mapping],
-    payload: Mapping,
-) -> str:
-    """``rows`` as CSV under ``header`` when ``fmt`` is ``"csv"``, else ``payload`` as JSON."""
-    return _to_csv(header, columns, rows) if fmt == "csv" else _to_json(payload)
 
 
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
