@@ -70,13 +70,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str) -> object:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path} is not UTF-8 text: {exc}") from exc
+        # ValueError covers decode errors and integers past Python's digit
+        # limit; RecursionError, arrays or objects nested too deep.
+        except (ValueError, RecursionError) as exc:
+            raise ValidationError(f"malformed JSON in {path}: {exc}") from exc
 
 
 def _load_spec(path: str) -> tuple[PreferenceSpec, tuple[str, ...] | None]:
@@ -297,7 +299,7 @@ def _cmd_demo_sequences(args: argparse.Namespace) -> tuple[str, int]:
                 "strictly_dominates": strictly_dominates(up_n, low_n),
                 "dist_upper": sup_distance(up_n, upper),
                 "dist_lower": sup_distance(low_n, lower),
-                "bound": 1.0 / (2.0 * n),
+                "bound": 0.5 / n,
             }
         )
     header = [

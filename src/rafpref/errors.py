@@ -13,6 +13,15 @@ import numbers
 from collections.abc import Iterable, Mapping, Set
 from typing import Any
 
+__all__ = [
+    "RafPrefError",
+    "ValidationError",
+    "AlternativeSetMismatchError",
+    "DominanceHypothesisError",
+    "DiagonalMonotonicityError",
+    "MenuAxiomError",
+]
+
 
 class RafPrefError(Exception):
     """Base class for all errors raised by this package."""
@@ -23,7 +32,8 @@ class ValidationError(RafPrefError, ValueError):
 
 
 def _real(name: str, v: object, at: str | None = None) -> float:
-    """``v`` as a plain float; bools, non-numbers and NaN are rejected.
+    """``v`` as a plain float; bools, non-numbers, NaN and numbers beyond
+    float range (a JSON integer of 400 digits, say) are rejected.
 
     Any ``numbers.Real`` is accepted, NumPy scalars included.  Every
     coordinate of every point is checked this way, so a plain float takes
@@ -33,9 +43,14 @@ def _real(name: str, v: object, at: str | None = None) -> float:
     if type(v) is float and v == v:
         return v
     if isinstance(v, bool) or not isinstance(v, numbers.Real) or v != v:
-        where = "" if at is None else f" at {at!r}"
-        raise ValidationError(f"{name}{where} must be a real number, got {v!r}")
-    return float(v)
+        problem = f"must be a real number, got {v!r}"
+    else:
+        try:
+            return float(v)
+        except OverflowError:
+            problem = "is too large for a float"
+    where = "" if at is None else f" at {at!r}"
+    raise ValidationError(f"{name}{where} {problem}")
 
 
 def _count(name: str, v: object, minimum: int) -> int:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DominanceHypothesisError, _count
+from .errors import DominanceHypothesisError, ValidationError, _count
 from .raf import Raf, _require_same_alts
 
 __all__ = ["PerturbationSequences", "perturbation_sequences"]
@@ -71,7 +71,10 @@ class PerturbationSequences:
     def term(self, n: int) -> tuple[Raf, Raf]:
         """The n-th strictly dominating pair, ``n`` counted from 1."""
         n = _count("term index", n, 1)
-        step = 1.0 / (2.0 * n)
+        try:
+            step = 0.5 / n
+        except OverflowError:
+            raise ValidationError("term index is too large for a float") from None
         at_one = set(self.at_one)
         at_zero = set(self.at_zero)
         tied_interior = set(self.tied_interior)

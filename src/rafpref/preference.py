@@ -29,7 +29,7 @@ one of the hypotheses, which is what makes them useful as counterexamples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter, mul
 from typing import Callable, Mapping
 
@@ -142,7 +142,7 @@ class PreferenceSpec:
     def from_dict(cls, data: Mapping) -> "PreferenceSpec":
         if not isinstance(data, Mapping) or "kind" not in data:
             raise ValidationError("a preference spec document needs a 'kind' field")
-        known = {"kind", "weights", "priority", "cutoff"}
+        known = {f.name for f in fields(cls)}
         # str orders string keys as before; repr breaks ties such as 1 and "1".
         stray = sorted(set(data) - known, key=lambda k: (str(k), repr(k)))
         if stray:

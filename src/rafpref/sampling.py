@@ -99,15 +99,12 @@ class RafSampler:
         """
         k = self._k
         draws = self._take(2 * k)
+        for i in range(0, 2 * k, 2):
+            # A zero upper value is redrawn: the values after it move up one
+            # place and the next value of the stream closes the pair.
+            while draws[i] == 0.0:
+                draws = draws[:i] + draws[i + 1 :] + self._take(1)
         upper = draws[::2]
-        if 0.0 in upper:
-            # A zero upper value is redrawn, which shifts every later value,
-            # so read this pair's values again one at a time.
-            self._next -= 2 * k
-            draws = ()
-            for _ in range(k):
-                draws += (self._positive_unit(), self.unit())
-            upper = draws[::2]
         span = 1.0 - self.STRICT_GAP
         lower = tuple(v * (span * u) for v, u in zip(upper, draws[1::2]))
         return _unchecked(self.alts, upper), _unchecked(self.alts, lower)

@@ -75,13 +75,9 @@ class UtilityResult:
         return self.lo == self.hi
 
     def to_dict(self) -> dict:
-        return {
-            "u": self.u,
-            "lo": self.lo,
-            "hi": self.hi,
-            "tol": self.tol,
-            "oracle_calls": self.oracle_calls,
-        }
+        # The instance dict holds exactly the fields, in order.  asdict
+        # deep-copies each value, about 20x the cost, on every scored point.
+        return dict(vars(self))
 
 
 def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:

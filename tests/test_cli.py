@@ -458,6 +458,50 @@ class TestDemoSequences:
         assert rc == 1
 
 
+class TestNoTraceback:
+    """Numbers beyond float range and undecodable JSON end in one error line."""
+
+    BIG = "1" + "0" * 400
+    MENU = '{"alts": ["a", "b"], "items": [{"label": "x", "values": [%s, 0.5]}]}' % BIG
+
+    @staticmethod
+    def assert_one_error(capsys, rc, message):
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == [err.strip()]
+        assert message in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flag", [("choose", "--menu"), ("build-utility", "--rafs")])
+    def test_point_value_beyond_float_range(self, tmp_path, capsys, command, flag):
+        spec = write_json(tmp_path / "spec.json", {"kind": "min"})
+        points = tmp_path / "points.json"
+        points.write_text(self.MENU, encoding="utf-8")
+        rc = cli.main([command, "--spec", spec, flag, str(points)])
+        self.assert_one_error(capsys, rc, "availability at 'a' is too large for a float")
+
+    def test_cutoff_beyond_float_range(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"kind": "threshold", "cutoff": %s}' % self.BIG, encoding="utf-8")
+        rc = cli.main(["check-axioms", "--spec", str(spec), "--pairs", "5", "--triples", "5"])
+        self.assert_one_error(capsys, rc, "cutoff is too large for a float")
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"kind": "min", "x": %s}' % ("1" * 4301), "[" * 100_000 + "]" * 100_000],
+        ids=["integer-of-4301-digits", "nested-100000-deep"],
+    )
+    def test_undecodable_json(self, tmp_path, capsys, content):
+        spec = tmp_path / "spec.json"
+        spec.write_text(content, encoding="utf-8")
+        rc = cli.main(["check-axioms", "--spec", str(spec)])
+        self.assert_one_error(capsys, rc, f"malformed JSON in {spec}")
+
+    def test_term_index_beyond_float_range(self, capsys):
+        rc = cli.main(["demo-sequences", "--upper", "1,1", "--lower", "0,0", "--terms", self.BIG])
+        self.assert_one_error(capsys, rc, "term index is too large for a float")
+
+
 class TestFlags:
     # Flags parse before any file is opened, so the paths need not exist.
     REQUIRED = {

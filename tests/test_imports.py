@@ -1,9 +1,10 @@
 """Every module reads each name it imports.
 
 No linter runs on this code base, so this test stands in for the
-unused-import rule: it parses each module of the package (but not
-``__init__.py``, whose imports are its exports) and each test module, and
-lists the imported names that the module never reads.
+unused-import rule: it parses each module of the package and each test
+module, and lists the imported names that the module never reads.  A ``*``
+import binds no name of its own and is skipped; ``__init__.py`` re-exports
+its modules that way.
 """
 
 from __future__ import annotations
@@ -14,10 +15,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted(
-    [p for p in (ROOT / "src" / "rafpref").glob("*.py") if p.name != "__init__.py"]
-    + list((ROOT / "tests").glob("*.py")),
-)
+MODULES = sorted([*(ROOT / "src" / "rafpref").glob("*.py"), *(ROOT / "tests").glob("*.py")])
 
 
 def unread_imports(source: str) -> list[str]:
@@ -29,7 +27,8 @@ def unread_imports(source: str) -> list[str]:
                 imported[alias.asname or alias.name.split(".")[0]] = node.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
     read = {
         node.id
         for node in ast.walk(tree)
@@ -44,5 +43,8 @@ def test_every_imported_name_is_read(path):
 
 
 def test_an_unread_import_is_found():
-    source = "import json\nfrom math import inf, pi\nfrom .raf import Raf as R\n\nR = pi\n"
+    source = (
+        "import json\nfrom math import inf, pi\nfrom .raf import Raf as R\nfrom .raf import *\n\n"
+        "R = pi\n"
+    )
     assert unread_imports(source) == ["line 1: json", "line 2: inf", "line 3: R"]

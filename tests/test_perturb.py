@@ -98,6 +98,18 @@ class TestTerms:
         with pytest.raises(rp.ValidationError, match="positive"):
             seqs.term(-3)
 
+    def test_term_index_beyond_float_range(self, alts3):
+        seqs = perturbation_sequences(top(alts3), bottom(alts3))
+        with pytest.raises(rp.ValidationError, match="term index is too large for a float"):
+            seqs.term(10**400)
+
+    def test_largest_term_indices_still_strict(self, alts2):
+        # 2.0 * n overflows to inf here, yet the step 1/(2n) is a subnormal above 0.
+        upper = make_raf(alts2, (1.0, 0.0))
+        up_n, low_n = perturbation_sequences(upper, upper).term(int(1.5e308))
+        assert strictly_dominates(up_n, low_n)
+        assert up_n.values[1] == 0.5 / 1.5e308
+
     def test_term_is_a_function_of_n(self, alts3):
         seqs = perturbation_sequences(bottom(alts3), bottom(alts3))
         assert seqs.term(4) == seqs.term(4)

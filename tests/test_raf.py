@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -89,6 +90,11 @@ class TestRafConstruction:
     def test_bools_nan_and_non_reals_rejected(self, alts3, bad):
         with pytest.raises(rp.ValidationError, match="at 'b' must be a real number"):
             make_raf(alts3, (0.5, bad, 0.5))
+
+    @pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3)])
+    def test_numbers_beyond_float_range_rejected(self, alts3, big):
+        with pytest.raises(rp.ValidationError, match="at 'b' is too large for a float"):
+            make_raf(alts3, (0.5, big, 0.5))
 
 
 class TestCorners:
