@@ -52,6 +52,7 @@ from .errors import (
     RafPrefError,
     ValidationError,
     _sequence,
+    _tol,
 )
 from .perturb import perturbation_sequences
 from .preference import PreferenceOracle, PreferenceSpec, build_oracle
@@ -131,7 +132,11 @@ def _labeled_setup(
 ) -> tuple[PreferenceSpec, Menu, PreferenceOracle]:
     """Labeled points from ``path``, called ``what`` in errors, over the spec file's labels."""
     spec, file_alts = _load_spec(args.spec)
-    points = Menu.from_dict(_load_json(path))
+    doc = _load_json(path)
+    try:
+        points = Menu.from_dict(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{what} {path}: {exc}") from None
     _agreed_labels({f"spec file {args.spec}": file_alts, f"{what} {path}": points.alts.labels})
     return spec, points, build_oracle(spec, points.alts)
 
@@ -220,6 +225,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
     spec, collection, oracle = _labeled_setup(args, args.rafs, "RAF file")
+    _tol(args.tol)  # a bad flag ends in its error line alone, without the note
     print(
         f"note: {oracle.name} has not been screened here; run check-axioms first "
         "(the bisection detects only diagonal violations)",

@@ -61,7 +61,11 @@ def _count(name: str, v: object, minimum: int) -> int:
     """
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
         kind = "positive" if minimum else "nonnegative"
-        raise ValidationError(f"{name} must be a {kind} integer, got {v!r}")
+        try:
+            got = repr(v)
+        except ValueError:  # an int past Python's digit limit for str()
+            got = f"a {'negative ' if v < 0 else ''}number too long to print"
+        raise ValidationError(f"{name} must be a {kind} integer, got {got}")
     return int(v)
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import permutations, product
 
 import pytest
@@ -166,15 +167,22 @@ class TestMaximalSetOnEveryRelation:
                         assert rel[i][j] and not rel[j][i], rel
             assert len(set(log)) == len(log), rel
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
     def test_a_strict_ranking_costs_at_most_3n_minus_3(self, alts2, n):
+        # Over all n! rankings: at least 2n - 1 queries, at most 3n - 3, and
+        # 2n + H_n + 1/n - 3 on average (H_n the n-th harmonic number).
         menu = table_menu(alts2, n)
+        costs = []
         for rank in permutations(range(n)):
             rel = [[rank[i] >= rank[j] for j in range(n)] for i in range(n)]
             log = []
             best = menu.labels[rank.index(n - 1)]
             assert maximal_set(table_oracle(menu, rel, log), menu) == (best,)
-            assert len(log) <= 3 * n - 3, rank
+            costs.append(len(log))
+        harmonic = sum(Fraction(1, k) for k in range(1, n + 1))
+        assert Fraction(sum(costs), len(costs)) == 2 * n + harmonic + Fraction(1, n) - 3
+        assert min(costs) == 2 * n - 1
+        assert max(costs) == 3 * n - 3
 
 
 class TestChooseByUtility:

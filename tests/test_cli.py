@@ -221,6 +221,30 @@ class TestLabelAgreement:
             assert u == pytest.approx(0.6, abs=1e-6)
 
 
+class TestPointFileErrors:
+    """A bad RAF or menu file is named as such, in the one error line."""
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [({}, "needs 'alts' and 'items'"), ({"alts": ["a", "b"], "items": []}, "at least one")],
+        ids=["empty-object", "no-items"],
+    )
+    @pytest.mark.parametrize(
+        "command, flag, what",
+        [("build-utility", "--rafs", "RAF file"), ("choose", "--menu", "menu file")],
+    )
+    def test_errors_name_the_file(self, tmp_path, capsys, command, flag, what, doc, message):
+        spec = write_json(tmp_path / "spec.json", {"kind": "min"})
+        points = write_json(tmp_path / "points.json", doc)
+        rc = cli.main([command, "--spec", spec, flag, points])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert [line for line in err.splitlines() if line.startswith("error:")] == [err.strip()]
+        assert err.startswith(f"error: {what} {points}: ") and message in err
+        if command == "build-utility":
+            assert "menu" not in err.replace(points, "")
+
+
 class TestBuildUtility:
     def test_csv_table(self, additive_spec, rafs_file, tmp_path, capsys):
         out = tmp_path / "table.csv"
@@ -269,6 +293,11 @@ class TestBuildUtility:
         )
         rc = cli.main(["build-utility", "--spec", spec, "--rafs", rafs_file])
         assert rc == 1
+
+    def test_bad_tol_writes_only_its_error_line(self, additive_spec, rafs_file, capsys):
+        rc = cli.main(["build-utility", "--spec", additive_spec, "--rafs", rafs_file, "--tol=-1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: tolerance must lie in")
 
 
 class TestValidate:

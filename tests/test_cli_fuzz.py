@@ -4,7 +4,9 @@ Spec, RAF and menu documents and the list flags of ``demo-sequences`` are
 generated near their valid shapes: the expected keys, but with values of
 the wrong type, NaN, infinities, huge integers, nested or empty lists,
 stray keys and duplicate labels.  Every subcommand runs in-process on each
-draw with small counts.
+draw with small counts.  Each draw also gives one command an invalid
+``--pairs``, ``--triples``, ``--depth``, ``--seed`` or ``--tol``, which must
+exit 1 with one error line.
 """
 
 from __future__ import annotations
@@ -120,10 +122,38 @@ TERMS = joined(
     st.one_of(st.integers(1, 12), st.sampled_from([0, -1, BIG, int(1.5e308), "x", ""])), 1
 )
 
+HUGE = "1" * 5000  # an integer of 5000 digits, past Python's digit limit for int()
+
+#: Every count flag by command, with the least value it accepts.
+COUNT_FLAGS = [
+    ("check-axioms", "--pairs", 1),
+    ("check-axioms", "--triples", 1),
+    ("check-axioms", "--depth", 1),
+    ("check-axioms", "--seed", 0),
+    ("validate", "--pairs", 0),
+    ("validate", "--seed", 0),
+]
+
+
+def bad_counts(least: int) -> st.SearchStrategy:
+    """Values a count flag refuses: never a large valid one, which would not end."""
+    return st.one_of(
+        st.integers(max_value=least - 1).map(str),
+        st.sampled_from(["", "x", "1.5", "1e3", "0x10", "-" + HUGE]),
+    )
+
+
+BAD_TOLS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "1e-17", "0.5000001", HUGE, "x", ""])
+TOL_COMMANDS = ("validate", "build-utility", "choose")
+BAD_FLAGS = st.one_of(
+    *[st.tuples(st.just(c), st.just(f), bad_counts(least)) for c, f, least in COUNT_FLAGS],
+    *[st.tuples(st.just(c), st.just("--tol"), BAD_TOLS) for c in TOL_COMMANDS],
+)
+
 MENU_BIG = '{"alts": ["a", "b"], "items": [{"label": "x", "values": [%d, 0.5]}]}' % BIG
 
 
-def run(argv: list[str]) -> None:
+def run(argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
@@ -133,6 +163,7 @@ def run(argv: list[str]) -> None:
     expected = {0: [0], 1: [1], 2: [0, 1], 3: [1]}[rc]
     assert len(errors) in expected, (argv, rc, err.getvalue())
     assert "Traceback" not in err.getvalue()
+    return rc
 
 
 @settings(derandomize=True, max_examples=300, deadline=None)
@@ -143,21 +174,35 @@ def run(argv: list[str]) -> None:
     terms=TERMS,
     alts=st.none() | joined(LABELS),
     fmt=st.sampled_from(["csv", "json"]),
+    bad=BAD_FLAGS,
 )
-@example('{"kind": "min"}', MENU_BIG, ("1,0.5", "0,0.5"), "1" + "0" * 400, None, "csv")
-@example('{"kind": "threshold", "cutoff": %d}' % BIG, MENU_BIG, ("1,1", "0,0"), "1", None, "json")
-@example('{"kind": "min", "x": %s}' % ("1" * 4301), MENU_BIG, ("1,1", "0,0"), "1", "a,b", "csv")
-@example('{"kind": "min"}', "[" * 100_000 + "]" * 100_000, ("1,1", "0,0"), "1", None, "csv")
-def test_every_subcommand_ends_in_an_exit_code(spec, points, pair, terms, alts, fmt):
+@example('{"kind": "min"}', MENU_BIG, ("1,0.5", "0,0.5"), "1" + "0" * 400, None, "csv",
+         ("check-axioms", "--seed", "-" + HUGE))
+@example('{"kind": "threshold", "cutoff": %d}' % BIG, MENU_BIG, ("1,1", "0,0"), "1", None, "json",
+         ("validate", "--tol", "nan"))
+@example('{"kind": "min", "x": %s}' % ("1" * 4301), MENU_BIG, ("1,1", "0,0"), "1", "a,b", "csv",
+         ("check-axioms", "--depth", "0"))
+@example('{"kind": "min"}', "[" * 100_000 + "]" * 100_000, ("1,1", "0,0"), "1", None, "csv",
+         ("choose", "--tol", "-0.0"))
+def test_every_subcommand_ends_in_an_exit_code(spec, points, pair, terms, alts, fmt, bad):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, points_path = Path(tmp) / "spec.json", Path(tmp) / "points.json"
         spec_path.write_text(spec, encoding="utf-8")
         points_path.write_text(points, encoding="utf-8")
         s, p = str(spec_path), str(points_path)
-        run(["check-axioms", "--spec", s, "--pairs", "5", "--triples", "5", "--depth", "3"])
-        run(["validate", "--spec", s, "--pairs", "5"])
-        run(["build-utility", "--spec", s, "--rafs", p, "--format", fmt])
-        run(["choose", "--spec", s, "--menu", p])
+        argvs = {
+            "check-axioms": [
+                "check-axioms", "--spec", s, "--pairs", "5", "--triples", "5", "--depth", "3"
+            ],
+            "validate": ["validate", "--spec", s, "--pairs", "5"],
+            "build-utility": ["build-utility", "--spec", s, "--rafs", p, "--format", fmt],
+            "choose": ["choose", "--spec", s, "--menu", p],
+        }
+        for argv in argvs.values():
+            run(argv)
+        # An invalid flag value, given last so that it overrides a small count.
+        command, flag, value = bad
+        assert run([*argvs[command], f"{flag}={value}"]) == 1
         upper, lower = pair
         demo = [f"--upper={upper}", f"--lower={lower}", f"--terms={terms}", "--format", fmt]
         run(["demo-sequences", *demo, *([] if alts is None else [f"--alts={alts}"])])

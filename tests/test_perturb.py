@@ -98,6 +98,12 @@ class TestTerms:
         with pytest.raises(rp.ValidationError, match="positive"):
             seqs.term(-3)
 
+    def test_term_index_past_the_digit_limit(self, alts3):
+        # Python 3.11+ refuses to print an int of more than 4300 digits.
+        seqs = perturbation_sequences(top(alts3), bottom(alts3))
+        with pytest.raises(rp.ValidationError, match="term index must be a positive integer"):
+            seqs.term(-(10**5000))
+
     def test_term_index_beyond_float_range(self, alts3):
         seqs = perturbation_sequences(top(alts3), bottom(alts3))
         with pytest.raises(rp.ValidationError, match="term index is too large for a float"):

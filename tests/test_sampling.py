@@ -29,6 +29,12 @@ def test_seed_must_be_a_nonnegative_integer(alts3):
         RafSampler(alts3, 0.5)
 
 
+def test_seed_past_the_digit_limit_is_rejected(alts3):
+    # Python 3.11+ refuses to print an int of more than 4300 digits.
+    with pytest.raises(rp.ValidationError, match="seed must be a nonnegative integer"):
+        RafSampler(alts3, -(10**5000))
+
+
 def test_numpy_integer_seeds_are_plain_ints(alts3):
     sampler = RafSampler(alts3, np.int64(1))
     assert type(sampler.seed) is int and sampler.seed == 1
