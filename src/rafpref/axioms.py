@@ -1,12 +1,12 @@
 """Sampled checks and falsifiers for the order and regularity axioms.
 
 The axioms quantify over an uncountable space, so nothing here proves
-anything.  A clean outcome is reported as ``"passed_sampled"``; a dirty one
-is ``"falsified"`` and carries a concrete witness that has been replayed
-through the public predicates before being reported, so a report is never
-wrong about a falsification.  Continuity falsification is additionally only
-semi-decidable: the fixed family library either exhibits a witness or says
-"not falsified at this depth", never "verified".
+anything.  Each of the five checks returns an :class:`AxiomCheck`.  A clean
+outcome is ``"passed_sampled"``; a dirty one is ``"falsified"`` and carries a
+concrete witness that has been replayed through the public predicates, so a
+report is never wrong about a falsification.  Continuity falsification is
+additionally only semi-decidable: the fixed family library either exhibits
+a witness or says ``"not_falsified"`` at this depth, never "verified".
 """
 
 from __future__ import annotations
@@ -16,26 +16,31 @@ from dataclasses import asdict, dataclass, field
 from itertools import chain, permutations, repeat
 from typing import Callable, Iterable, Sequence
 
-from .errors import ValidationError, _count, _real
+from .errors import ValidationError, _count, _real, _sequence
 from .preference import PreferenceOracle, strictly_prefers
 from .raf import AlternativeSet, Raf, bottom, scale_top, top
 from .sampling import RafSampler
 
 __all__ = [
     "PASSED_SAMPLED",
+    "NOT_FALSIFIED",
     "FALSIFIED",
     "AxiomCheck",
     "AxiomReport",
     "check_order_axioms",
     "falsify_weak_dominance",
     "SequenceFamily",
-    "ContinuityWitness",
     "builtin_families",
     "falsify_weak_continuity",
 ]
 
 PASSED_SAMPLED = "passed_sampled"
+NOT_FALSIFIED = "not_falsified"
 FALSIFIED = "falsified"
+
+_NOT_A_VERIFICATION = (
+    "not falsified at this depth; the check is semi-decidable and this is not a verification"
+)
 
 #: The six ordered pairs of a triple's positions.  :data:`_TREE` names them
 #: by place; a probe that finds a triple intransitive asks the pairs it has
@@ -94,7 +99,12 @@ _TREE = (
 
 @dataclass(frozen=True)
 class AxiomCheck:
-    """Outcome of one axiom's sampled check."""
+    """Outcome of one axiom's sampled check.
+
+    ``samples`` counts the candidates probed, up to the witness if one is
+    found; ``witness`` is its JSON-ready record.  ``note`` says when a
+    verdict must not be read as a verification.
+    """
 
     axiom: str
     verdict: str
@@ -104,7 +114,7 @@ class AxiomCheck:
 
     @property
     def passed(self) -> bool:
-        return self.verdict == PASSED_SAMPLED
+        return self.verdict != FALSIFIED
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -137,26 +147,37 @@ class AxiomReport:
         }
 
 
-def _first_replayed(
+def _roles(*roles: str) -> Callable[..., dict]:
+    """A witness record that names each point of the witness by its role."""
+    return lambda *rafs: {role: raf.to_dict() for role, raf in zip(roles, rafs)}
+
+
+def _search(
+    axiom: str,
     candidates: Iterable[tuple],
     violated: Callable[..., bool],
+    record: Callable[..., dict],
     find: Callable[[tuple], tuple | None] | None = None,
-) -> tuple[int, tuple] | None:
-    """The first witness, with its 1-based candidate index, that replays.
+    clean: str = PASSED_SAMPLED,
+    note: str | None = None,
+) -> AxiomCheck:
+    """``axiom``'s check: the first witness among ``candidates`` that replays.
 
     ``violated(*witness)`` is the predicate of one violation.  ``find``
     probes a candidate for a witness; by default the candidate is probed
-    with ``violated`` and is its own witness.  A witness is returned only
-    when ``violated`` holds again on replay; one that does not is dropped.
+    with ``violated`` and is its own witness.  A witness counts only when
+    ``violated`` holds again on replay, and only then is ``record(*witness)``
+    built.  Without one the check has the verdict ``clean`` and the ``note``.
     """
-    for i, candidate in enumerate(candidates, 1):
+    samples = 0
+    for samples, candidate in enumerate(candidates, 1):
         if find is None:
             witness = candidate if violated(*candidate) else None
         else:
             witness = find(candidate)
         if witness is not None and violated(*witness):
-            return i, witness
-    return None
+            return AxiomCheck(axiom, FALSIFIED, samples, record(*witness))
+    return AxiomCheck(axiom, clean, samples, note=note)
 
 
 def check_order_axioms(
@@ -219,13 +240,7 @@ def check_order_axioms(
         # Drawn lazily, one read per candidate: sampling stops at the first
         # replayed witness.
         draws = map(sampler.rafs, repeat(len(roles), n))
-        hit = _first_replayed(draws, violated, find)
-        if hit is None:
-            checks.append(AxiomCheck(axiom, PASSED_SAMPLED, n))
-        else:
-            samples, witness = hit
-            record = {role: raf.to_dict() for role, raf in zip(roles, witness)}
-            checks.append(AxiomCheck(axiom, FALSIFIED, samples, record))
+        checks.append(_search(axiom, draws, violated, _roles(*roles), find))
     return AxiomReport(oracle.name, sampler.seed, tuple(checks))
 
 
@@ -233,13 +248,14 @@ def falsify_weak_dominance(
     oracle: PreferenceOracle,
     sampler: RafSampler,
     n_pairs: int,
-) -> tuple[int, tuple[Raf, Raf]] | None:
+) -> AxiomCheck:
     """Search for a strictly dominating pair that is not strictly preferred.
 
     The canonical pair (everything available, nothing available) is always
     probed first as candidate 1; ``n_pairs`` sampled strictly dominating
-    pairs follow.  Returns the witness's 1-based candidate index and the
-    witnessing pair, or ``None`` when no violation was seen.
+    pairs follow, so a passed check counts ``n_pairs + 1`` samples.  A
+    witness is recorded as ``{"first", "second"}``, the dominating point
+    first.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
 
@@ -249,7 +265,7 @@ def falsify_weak_dominance(
     # Drawn lazily: sampling stops at the first replayed witness.
     sampled = (sampler.strictly_dominating_pair() for _ in range(n_pairs))
     candidates = chain([(top(oracle.alts), bottom(oracle.alts))], sampled)
-    return _first_replayed(candidates, not_strictly_preferred)
+    return _search("weak_dominance", candidates, not_strictly_preferred, _roles("first", "second"))
 
 
 @dataclass(frozen=True)
@@ -278,25 +294,6 @@ class SequenceFamily:
         return SequenceFamily(f"{self.description} (swapped)", lambda n: term(n)[::-1])
 
 
-@dataclass(frozen=True)
-class ContinuityWitness:
-    """A family whose termwise strict preference reverses in the limit."""
-
-    family: SequenceFamily
-    depth: int
-
-    def to_dict(self) -> dict:
-        first_term = self.family.term(1)
-        limit_first, limit_second = self.family.limits
-        return {
-            "family": self.family.description,
-            "depth": self.depth,
-            "term_1": {"first": first_term[0].to_dict(), "second": first_term[1].to_dict()},
-            "limit_first": limit_first.to_dict(),
-            "limit_second": limit_second.to_dict(),
-        }
-
-
 def builtin_families(
     alts: AlternativeSet, loci: Sequence[float] = (0.5,)
 ) -> list[SequenceFamily]:
@@ -320,7 +317,7 @@ def builtin_families(
         families.append(SequenceFamily(f"diagonal approach to {t0} from above", term))
 
     seen = set()
-    for locus in loci:
+    for locus in _sequence("loci", loci):
         c = _real("straddle locus", locus)
         if not 0.0 < c < 1.0:
             raise ValidationError(f"straddle locus must lie strictly inside (0, 1), got {locus!r}")
@@ -357,13 +354,15 @@ def falsify_weak_continuity(
     oracle: PreferenceOracle,
     families: Iterable[SequenceFamily],
     depth: int,
-) -> ContinuityWitness | None:
+) -> AxiomCheck:
     """Search the family library for a continuity violation.
 
     A witness requires strict preference of the first side at every term up
     to ``depth`` together with strict preference of the *second* side in the
-    limit.  ``None`` means "not falsified at this depth" and must not be read
-    as a verification: the library is a fixed net, not a dense one.
+    limit; its record names the family and gives ``depth``, the first term
+    and the limits.  A check without a witness is ``"not_falsified"``, with a
+    note that it must not be read as a verification: the library is a fixed
+    net, not a dense one.
     """
     depth = _count("depth", depth, 1)
 
@@ -373,5 +372,16 @@ def falsify_weak_continuity(
             strictly_prefers(oracle, *family.term(n)) for n in range(1, depth + 1)
         )
 
-    hit = _first_replayed(((family,) for family in families), reverses_in_the_limit)
-    return ContinuityWitness(hit[1][0], depth) if hit else None
+    def record(family: SequenceFamily) -> dict:
+        return {
+            "family": family.description,
+            "depth": depth,
+            "term_1": _roles("first", "second")(*family.term(1)),
+            **_roles("limit_first", "limit_second")(*family.limits),
+        }
+
+    candidates = ((family,) for family in families)
+    return _search(
+        "weak_continuity", candidates, reverses_in_the_limit, record,
+        clean=NOT_FALSIFIED, note=_NOT_A_VERIFICATION,
+    )

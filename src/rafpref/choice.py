@@ -46,8 +46,8 @@ class Menu:
     items: tuple[Raf, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
-        items = tuple(self.items)
+        labels = _sequence("labels", self.labels)
+        items = _sequence("items", self.items)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "items", items)
         if not items:
@@ -81,10 +81,10 @@ class Menu:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Menu":
         try:
-            alts = AlternativeSet(_sequence("alts", data["alts"]))
+            alts = AlternativeSet(data["alts"])
             entries = list(data["items"])
             labels = tuple(entry["label"] for entry in entries)
-            items = tuple(Raf(alts, tuple(entry["values"])) for entry in entries)
+            items = tuple(Raf(alts, entry["values"]) for entry in entries)
         except (KeyError, TypeError):
             raise ValidationError(
                 "the document needs 'alts' and 'items' (each with 'label' and 'values')"

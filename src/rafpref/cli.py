@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .axioms import (
+    AxiomCheck,
     builtin_families,
     check_order_axioms,
     falsify_weak_continuity,
@@ -168,20 +169,20 @@ def _table_report(
     return buf.getvalue()
 
 
+def _fields(check: AxiomCheck, *names: str) -> dict:
+    return {name: getattr(check, name) for name in names}
+
+
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
     spec, oracle, sampler = _sampled_setup(args)
 
     order = check_order_axioms(oracle, sampler, args.pairs, args.triples)
-    dominance_samples, dominance_witness = falsify_weak_dominance(
-        oracle, sampler, args.pairs
-    ) or (args.pairs + 1, None)
+    dominance = falsify_weak_dominance(oracle, sampler, args.pairs)
     loci = (0.5, spec.cutoff) if spec.cutoff is not None else (0.5,)
     families = builtin_families(oracle.alts, loci=loci)
-    continuity_witness = falsify_weak_continuity(oracle, families, args.depth)
+    continuity = falsify_weak_continuity(oracle, families, args.depth)
 
-    all_passed = (
-        order.all_passed and dominance_witness is None and continuity_witness is None
-    )
+    all_passed = order.all_passed and dominance.passed and continuity.passed
     payload = {
         "command": "check-axioms",
         "config": {
@@ -194,29 +195,11 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
         "spec": spec.to_dict(),
         "oracle": oracle.name,
         "order_axioms": order.to_dict(),
-        "weak_dominance": {
-            "verdict": "falsified" if dominance_witness else "passed_sampled",
-            "samples": dominance_samples,
-            "witness": (
-                {
-                    "first": dominance_witness[0].to_dict(),
-                    "second": dominance_witness[1].to_dict(),
-                }
-                if dominance_witness
-                else None
-            ),
-        },
+        "weak_dominance": _fields(dominance, "verdict", "samples", "witness"),
         "weak_continuity": {
-            "verdict": "falsified" if continuity_witness else "not_falsified",
+            **_fields(continuity, "verdict", "witness", "note"),
             "families": len(families),
             "depth": args.depth,
-            "witness": continuity_witness.to_dict() if continuity_witness else None,
-            "note": (
-                None
-                if continuity_witness
-                else "not falsified at this depth; the check is semi-decidable "
-                "and this is not a verification"
-            ),
         },
         "all_passed": all_passed,
     }

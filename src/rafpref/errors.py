@@ -61,12 +61,15 @@ def _count(name: str, v: object, minimum: int) -> int:
     """
     if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < minimum:
         kind = "positive" if minimum else "nonnegative"
-        try:
-            got = repr(v)
-        except ValueError:  # an int past Python's digit limit for str()
-            got = f"a {'negative ' if v < 0 else ''}number too long to print"
-        raise ValidationError(f"{name} must be a {kind} integer, got {got}")
+        raise ValidationError(f"{name} must be a {kind} integer, got {_shown(v)}")
     return int(v)
+
+
+def _shown(v: object) -> str:
+    try:
+        return repr(v)
+    except ValueError:  # an int past Python's digit limit for repr()
+        return f"a {'negative ' if v < 0 else ''}number too long to print"
 
 
 def _tol(v: object) -> float:
@@ -82,7 +85,7 @@ def _labels(what: str, labels: tuple) -> None:
     seen: set[str] = set()
     for label in labels:
         if not isinstance(label, str) or not label:
-            raise ValidationError(f"{what} labels must be nonempty strings, got {label!r}")
+            raise ValidationError(f"{what} labels must be nonempty strings, got {_shown(label)}")
         if label in seen:
             raise ValidationError(f"duplicate {what} label: {label!r}")
         seen.add(label)
@@ -95,7 +98,7 @@ def _sequence(name: str, v: object) -> tuple:
     word into letters, keep only the keys or lose the order.
     """
     if isinstance(v, (str, bytes, Mapping, Set)) or not isinstance(v, Iterable):
-        raise ValidationError(f"{name} must be a list, got {v!r}")
+        raise ValidationError(f"{name} must be a list, got {_shown(v)}")
     return tuple(v)
 
 

@@ -40,7 +40,7 @@ class AlternativeSet:
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        labels = tuple(self.labels)
+        labels = _sequence("alts", self.labels)
         object.__setattr__(self, "labels", labels)
         if len(labels) < 2:
             raise ValidationError(
@@ -77,7 +77,9 @@ class Raf:
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        raw = tuple(self.values)
+        # Every point of a RAF or menu file comes through here as its JSON list
+        # (Menu.from_dict), so a list or tuple skips _sequence's ABC checks.
+        raw = self.values if type(self.values) in (tuple, list) else _sequence("values", self.values)
         if len(raw) != len(self.alts):
             raise ValidationError(
                 f"expected {len(self.alts)} values for alternatives {self.alts.labels}, "
@@ -109,12 +111,12 @@ class Raf:
             raise ValidationError(
                 "a RAF document needs 'alts' and 'values' fields"
             ) from None
-        return cls(AlternativeSet(_sequence("alts", alts)), tuple(values))
+        return cls(AlternativeSet(alts), values)
 
 
 def make_raf(alts: AlternativeSet, values: Sequence[float] | Iterable[float]) -> Raf:
     """Build a RAF over ``alts``, validating length and the [0, 1] range."""
-    return Raf(alts, tuple(values))
+    return Raf(alts, values)
 
 
 def top(alts: AlternativeSet) -> Raf:

@@ -1,8 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 import rafpref as rp
+
+# Every property draws the same examples on every run, locally as in CI,
+# and none is replayed from a local example database.  No deadline: a
+# loaded machine must not turn a slow example into a failure.
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

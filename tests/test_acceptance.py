@@ -194,27 +194,37 @@ def test_counterexample_suite():
 
     anti = _oracle("anti_monotone")
     hit = falsify_weak_dominance(anti, RafSampler(ALTS5, SEED), 1)
-    caught = hit == (1, (top(ALTS5), bottom(ALTS5)))
+    caught = not hit.passed and hit.samples == 1
+    if caught:
+        first, second = (rp.Raf.from_dict(hit.witness[role]) for role in ("first", "second"))
+        caught = (first, second) == (top(ALTS5), bottom(ALTS5))
     ok = ok and caught
     details.append(f"anti_monotone dominance witness on canonical probe: {caught}")
 
     for kind, loci in (("lexicographic", (0.5,)), ("threshold", (0.5,))):
         oracle = _oracle(kind)
-        found = falsify_weak_continuity(oracle, builtin_families(ALTS5, loci=loci), 10)
-        verified = found is not None
+        families = builtin_families(ALTS5, loci=loci)
+        found = falsify_weak_continuity(oracle, families, 10)
+        verified = not found.passed
         if verified:
-            limit_first, limit_second = found.family.limits
-            verified = strictly_prefers(oracle, limit_second, limit_first) and all(
-                strictly_prefers(oracle, *found.family.term(n))
-                for n in range(1, found.depth + 1)
+            (family,) = [f for f in families if f.description == found.witness["family"]]
+            limit_first = rp.Raf.from_dict(found.witness["limit_first"])
+            limit_second = rp.Raf.from_dict(found.witness["limit_second"])
+            verified = (
+                family.limits == (limit_first, limit_second)
+                and strictly_prefers(oracle, limit_second, limit_first)
+                and all(
+                    strictly_prefers(oracle, *family.term(n))
+                    for n in range(1, found.witness["depth"] + 1)
+                )
             )
         ok = ok and verified
         details.append(f"{kind} continuity witness verified: {verified}")
 
     for kind in ("additive", "min", "geometric"):
         oracle = _oracle(kind)
-        clean = falsify_weak_continuity(oracle, builtin_families(ALTS5), 100) is None
-        clean = clean and falsify_weak_dominance(oracle, RafSampler(ALTS5, SEED), 1000) is None
+        clean = falsify_weak_continuity(oracle, builtin_families(ALTS5), 100).passed
+        clean = clean and falsify_weak_dominance(oracle, RafSampler(ALTS5, SEED), 1000).passed
         ok = ok and clean
         details.append(f"{kind} clean: {clean}")
 

@@ -320,7 +320,7 @@ class TestOrderSamplingIsLazy:
             logged.append((a.values, b.values))
             return key(a) >= key(b)
 
-        assert falsify_weak_dominance(PreferenceOracle("log", alts, logging), sampler, 5) is None
+        assert falsify_weak_dominance(PreferenceOracle("log", alts, logging), sampler, 5).passed
         expected = []
         for _ in range(5):
             upper, lower = [], []
@@ -335,24 +335,36 @@ class TestOrderSamplingIsLazy:
         assert logged[2::2] == expected
 
 
+def pair_of(check):
+    """The two points of a check's ``{"first", "second"}`` witness record."""
+    return Raf.from_dict(check.witness["first"]), Raf.from_dict(check.witness["second"])
+
+
+def family_of(check, families):
+    """The family a continuity check's witness record names."""
+    (family,) = [f for f in families if f.description == check.witness["family"]]
+    return family
+
+
 class TestWeakDominance:
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
     def test_monotone_builtins_not_falsified(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
-        assert falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1000) is None
+        assert falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1000).passed
 
     def test_anti_monotone_fails_on_the_canonical_pair(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
-        hit = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1)
-        assert hit == (1, (top(alts3), bottom(alts3)))
+        check = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1)
+        assert (check.verdict, check.samples) == (rp.FALSIFIED, 1)
+        assert pair_of(check) == (top(alts3), bottom(alts3))
 
     def test_threshold_fails_below_the_cutoff(self, alts3, oracle_factory):
         oracle = oracle_factory("threshold", alts3, cutoff=0.5)
-        hit = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 500)
-        assert hit is not None
-        samples, (a, b) = hit
+        check = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 500)
+        assert not check.passed
+        a, b = pair_of(check)
         # The canonical pair is preferred, so the witness is a sampled pair.
-        assert 1 < samples <= 501
+        assert 1 < check.samples <= 501
         assert strictly_dominates(a, b)
         assert not strictly_prefers(oracle, a, b)
 
@@ -373,35 +385,44 @@ class TestWeakContinuity:
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "anti_monotone"])
     def test_continuous_builtins_not_falsified_at_depth_100(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
-        assert falsify_weak_continuity(oracle, builtin_families(alts3), 100) is None
+        assert falsify_weak_continuity(oracle, builtin_families(alts3), 100).passed
 
     def test_lexicographic_witness_is_the_coordinate_bump(self, alts2, oracle_factory):
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
-        witness = falsify_weak_continuity(oracle, builtin_families(alts2), 10)
-        assert witness is not None
-        limit_first, limit_second = witness.family.limits
+        families = builtin_families(alts2)
+        check = falsify_weak_continuity(oracle, families, 10)
+        assert not check.passed
+        limit_first = Raf.from_dict(check.witness["limit_first"])
+        limit_second = Raf.from_dict(check.witness["limit_second"])
         assert limit_first.values == (0.5, 0.0)
         assert limit_second.values == (0.5, 1.0)
         # Replay the full witness through the public predicates.
-        for n in range(1, witness.depth + 1):
-            first, second = witness.family.term(n)
+        family = family_of(check, families)
+        assert family.limits == (limit_first, limit_second)
+        for n in range(1, check.witness["depth"] + 1):
+            first, second = family.term(n)
             assert strictly_prefers(oracle, first, second)
         assert strictly_prefers(oracle, limit_second, limit_first)
 
     def test_threshold_witness_straddles_the_cutoff(self, alts3, oracle_factory):
         oracle = oracle_factory("threshold", alts3, cutoff=0.5)
-        witness = falsify_weak_continuity(oracle, builtin_families(alts3, loci=(0.5,)), 10)
-        assert witness is not None
-        for n in range(1, witness.depth + 1):
-            first, second = witness.family.term(n)
+        families = builtin_families(alts3, loci=(0.5,))
+        check = falsify_weak_continuity(oracle, families, 10)
+        assert not check.passed
+        family = family_of(check, families)
+        for n in range(1, check.witness["depth"] + 1):
+            first, second = family.term(n)
             assert strictly_prefers(oracle, first, second)
-        limit_first, limit_second = witness.family.limits
+        limit_first = Raf.from_dict(check.witness["limit_first"])
+        limit_second = Raf.from_dict(check.witness["limit_second"])
+        assert family.limits == (limit_first, limit_second)
         assert strictly_prefers(oracle, limit_second, limit_first)
 
     def test_witness_serializes(self, alts2, oracle_factory):
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
-        witness = falsify_weak_continuity(oracle, builtin_families(alts2), 3)
-        doc = witness.to_dict()
+        check = falsify_weak_continuity(oracle, builtin_families(alts2), 3)
+        doc = check.witness
+        assert check.to_dict()["witness"] == doc
         assert doc["depth"] == 3
         assert set(doc) == {"family", "depth", "term_1", "limit_first", "limit_second"}
 
@@ -426,6 +447,11 @@ class TestWeakContinuity:
             for n in (1, 10, 1000, 10**6):
                 for side, term in enumerate(family.term(n)):
                     assert sup_distance(term, limits[side]) <= 1.0 / n
+
+    @pytest.mark.parametrize("loci", [0.5, "0.5", {0.5, 0.3}], ids=["float", "str", "set"])
+    def test_loci_must_be_a_list(self, alts3, loci):
+        with pytest.raises(rp.ValidationError, match="^loci must be a list, got "):
+            builtin_families(alts3, loci=loci)
 
     def test_locus_must_be_interior(self, alts3):
         with pytest.raises(rp.ValidationError, match="strictly inside"):
@@ -460,8 +486,8 @@ class TestReplayGuard:
             report = check_order_axioms(oracle(alts3), RafSampler(alts3, 5), 20, 40)
             return report.check(scenario).verdict == rp.FALSIFIED
         if scenario == "dominance":
-            return falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20) is not None
-        return falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10) is not None
+            return not falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20).passed
+        return not falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10).passed
 
     # The counts pin what probing and replaying cost on this path; a
     # refactor of the checks must not change them.
@@ -494,3 +520,102 @@ class TestReplayGuard:
         assert self.run(scenario, flawed)
         assert not self.run(scenario, first_ask)
         assert len(calls) == queries
+
+
+class TestSharedContract:
+    """All five checks return an AxiomCheck with the same reading of its fields."""
+
+    N = 40
+    DEPTH = 10
+    SIZES = {"reflexivity": 1, "connectedness": 2, "transitivity": 3}
+
+    @classmethod
+    def run(cls, axiom, oracle):
+        alts = oracle.alts
+        sampler = RafSampler(alts, SEED)
+        if axiom == "weak_dominance":
+            return falsify_weak_dominance(oracle, sampler, cls.N)
+        if axiom == "weak_continuity":
+            return falsify_weak_continuity(oracle, builtin_families(alts), cls.DEPTH)
+        return check_order_axioms(oracle, sampler, cls.N, cls.N).check(axiom)
+
+    @classmethod
+    def candidates(cls, axiom, alts):
+        """The check's candidates, drawn as it draws them; the order checks
+        before ``axiom`` are taken to pass, as they do on these oracles."""
+        sampler = RafSampler(alts, SEED)
+        if axiom == "weak_dominance":
+            sampled = [sampler.strictly_dominating_pair() for _ in range(cls.N)]
+            return [(top(alts), bottom(alts)), *sampled]
+        if axiom == "weak_continuity":
+            return [(family,) for family in builtin_families(alts)]
+        for earlier, size in cls.SIZES.items():
+            if earlier == axiom:
+                return [tuple(sampler.rafs(size)) for _ in range(cls.N)]
+            sampler.rafs(size * cls.N)
+
+    def violated(self, axiom, oracle, candidate):
+        weak = oracle.weak_prefers
+        if axiom == "reflexivity":
+            return not weak(*candidate, *candidate)
+        if axiom == "connectedness":
+            return not weak(*candidate) and not weak(*candidate[::-1])
+        if axiom == "transitivity":
+            return any(
+                weak(x, y) and weak(y, z) and not weak(x, z)
+                for x, y, z in permutations(candidate)
+            )
+        if axiom == "weak_dominance":
+            return not strictly_prefers(oracle, *candidate)
+        (family,) = candidate
+        limit_first, limit_second = family.limits
+        return strictly_prefers(oracle, limit_second, limit_first) and all(
+            strictly_prefers(oracle, *family.term(n)) for n in range(1, self.DEPTH + 1)
+        )
+
+    @pytest.mark.parametrize("broken", [False, True], ids=["clean", "broken"])
+    @pytest.mark.parametrize(
+        "axiom, oracle",
+        [
+            ("reflexivity", never_oracle),
+            ("connectedness", partial_order_oracle),
+            ("transitivity", cyclic_oracle),
+            ("weak_dominance", "threshold"),
+            ("weak_continuity", "lexicographic"),
+        ],
+    )
+    def test_samples_witness_and_note(self, alts3, oracle_factory, axiom, oracle, broken):
+        if not broken:
+            oracle = oracle_factory("additive", alts3)
+        elif isinstance(oracle, str):
+            oracle = oracle_factory(oracle, alts3)
+        else:
+            oracle = oracle(alts3)
+        check = self.run(axiom, oracle)
+        assert isinstance(check, rp.AxiomCheck) and check.axiom == axiom
+
+        candidates = self.candidates(axiom, alts3)
+        hits = [i for i, c in enumerate(candidates, 1) if self.violated(axiom, oracle, c)]
+        assert bool(hits) == broken
+        assert check.passed == (not hits)
+        passing = {"weak_dominance": self.N + 1, "weak_continuity": len(builtin_families(alts3))}
+        assert len(candidates) == passing.get(axiom, self.N)
+        assert check.samples == (hits[0] if hits else len(candidates))
+
+        assert (check.witness is None) == (check.verdict != rp.FALSIFIED)
+        clean_verdict = rp.NOT_FALSIFIED if axiom == "weak_continuity" else rp.PASSED_SAMPLED
+        assert check.verdict == (rp.FALSIFIED if hits else clean_verdict)
+        has_note = axiom == "weak_continuity" and check.witness is None
+        assert (check.note is not None) == has_note
+        if has_note:
+            assert "not a verification" in check.note
+
+        if hits:
+            # The witness is the first violating candidate (an ordering of
+            # it, for a triple).
+            found = candidates[hits[0] - 1]
+            if axiom == "weak_continuity":
+                assert check.witness["family"] == found[0].description
+            else:
+                points = [Raf.from_dict(point) for point in check.witness.values()]
+                assert sorted(p.values for p in points) == sorted(p.values for p in found)

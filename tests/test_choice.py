@@ -48,6 +48,26 @@ class TestMenu:
         again = Menu.from_dict(json.loads(json.dumps(menu.to_dict())))
         assert again == menu
 
+    # A string would be split into letters and a set would lose its order.
+    @pytest.mark.parametrize(
+        "labels, items, name",
+        [
+            ("xy", lambda a, b: (a, b), "labels"),
+            ({"x", "y"}, lambda a, b: (a, b), "labels"),
+            (("x", "y"), lambda a, b: {a, b}, "items"),
+            (("x", "y"), lambda a, b: a, "items"),
+        ],
+        ids=["str-labels", "set-labels", "set-items", "one-raf-items"],
+    )
+    def test_shapes_that_are_not_lists_are_refused(self, alts2, labels, items, name):
+        with pytest.raises(rp.ValidationError, match=f"^{name} must be a list, got "):
+            Menu(alts2, labels, items(top(alts2), bottom(alts2)))
+
+    @pytest.mark.parametrize("values", ["01", {"a": 0.1, "b": 0.2}, 0.5], ids=["str", "dict", "number"])
+    def test_from_dict_refuses_values_that_are_not_lists(self, values):
+        with pytest.raises(rp.ValidationError, match="^values must be a list, got "):
+            Menu.from_dict({"alts": ["a", "b"], "items": [{"label": "x", "values": values}]})
+
     def test_from_dict_validates_shape(self):
         with pytest.raises(rp.ValidationError):
             Menu.from_dict({"alts": ["a", "b"], "items": [{"label": "x"}]})

@@ -129,6 +129,44 @@ class TestCheckAxioms:
         assert payload["weak_continuity"]["verdict"] == "falsified"
         assert payload["weak_continuity"]["witness"]["depth"] == 10
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "additive", "weights": [0.5, 0.3, 0.2]},
+            {"kind": "threshold", "cutoff": 0.4},
+            {"kind": "lexicographic", "priority": ["c", "a", "b"]},
+        ],
+        ids=lambda spec: spec["kind"],
+    )
+    def test_hypothesis_sections_are_the_library_checks(self, spec, tmp_path, capsys):
+        path = write_json(tmp_path / "spec.json", spec)
+        argv = ["check-axioms", "--spec", path, "--alts", "a,b,c", "--seed", "7"]
+        cli.main([*argv, "--pairs", "30", "--triples", "30", "--depth", "12"])
+        payload = json.loads(capsys.readouterr().out)
+
+        alts = rp.AlternativeSet(("a", "b", "c"))
+        parsed = rp.PreferenceSpec.from_dict(spec)
+        oracle = rp.build_oracle(parsed, alts)
+        sampler = rp.RafSampler(alts, 7)
+        rp.check_order_axioms(oracle, sampler, 30, 30)
+        dominance = rp.falsify_weak_dominance(oracle, sampler, 30)
+        loci = (0.5,) if parsed.cutoff is None else (0.5, parsed.cutoff)
+        families = rp.builtin_families(alts, loci=loci)
+        continuity = rp.falsify_weak_continuity(oracle, families, 12)
+
+        assert payload["weak_dominance"] == {
+            "verdict": dominance.verdict,
+            "samples": dominance.samples,
+            "witness": dominance.witness,
+        }
+        assert payload["weak_continuity"] == {
+            "verdict": continuity.verdict,
+            "witness": continuity.witness,
+            "note": continuity.note,
+            "families": len(families),
+            "depth": 12,
+        }
+
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = cli.main(["check-axioms", "--spec", str(tmp_path / "nope.json")])
         assert rc == 1
@@ -226,8 +264,13 @@ class TestPointFileErrors:
 
     @pytest.mark.parametrize(
         "doc, message",
-        [({}, "needs 'alts' and 'items'"), ({"alts": ["a", "b"], "items": []}, "at least one")],
-        ids=["empty-object", "no-items"],
+        [
+            ({}, "needs 'alts' and 'items'"),
+            ({"alts": ["a", "b"], "items": []}, "at least one"),
+            ({"alts": ["a", "b"], "items": [{"label": "x", "values": "01"}]}, "values must be a list"),
+            ({"alts": ["a", "b"], "items": [{"label": "x", "values": 0.5}]}, "values must be a list"),
+        ],
+        ids=["empty-object", "no-items", "str-values", "number-values"],
     )
     @pytest.mark.parametrize(
         "command, flag, what",

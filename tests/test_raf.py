@@ -39,6 +39,11 @@ class TestAlternativeSet:
         with pytest.raises(rp.ValidationError):
             AlternativeSet(("a", ""))
 
+    def test_label_past_the_digit_limit(self):
+        # Python 3.11+ refuses to print an int of more than 4300 digits.
+        with pytest.raises(rp.ValidationError, match="nonempty strings, got a number too long"):
+            AlternativeSet(("a", 10**5000))
+
     def test_index_and_container_protocol(self, alts3):
         assert alts3.index("b") == 1
         assert len(alts3) == 3
@@ -208,6 +213,32 @@ class TestSerialization:
             Raf.from_dict({"alts": ["a", "b"], "values": [0.5, 1.5]})
         with pytest.raises(rp.ValidationError, match="must be a list"):
             Raf.from_dict({"alts": "ab", "values": [0.5, 0.5]})
+
+    # A string would be split into letters, a set would lose its order and a
+    # lone number is no list at all: each is an input error, not a TypeError.
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda ab: AlternativeSet("xy"), "alts"),
+            (lambda ab: AlternativeSet({"x", "y"}), "alts"),
+            (lambda ab: AlternativeSet(5), "alts"),
+            (lambda ab: AlternativeSet(-(10**5000)), "alts"),  # too long for repr
+            (lambda ab: Raf(ab, {0.9, 0.1}), "values"),
+            (lambda ab: Raf(ab, 0.5), "values"),
+            (lambda ab: Raf(ab, "01"), "values"),
+            (lambda ab: Raf.from_dict({"alts": ["a", "b"], "values": 0.5}), "values"),
+            (lambda ab: make_raf(ab, {0.9, 0.1}), "values"),
+        ],
+        ids=["str-alts", "set-alts", "int-alts", "long-int-alts", "set-values", "float-values",
+             "str-values", "from-dict-float-values", "make-raf-set-values"],
+    )
+    def test_shapes_that_are_not_lists_are_refused(self, alts2, build, name):
+        with pytest.raises(rp.ValidationError, match=f"^{name} must be a list, got "):
+            build(alts2)
+
+    @pytest.mark.parametrize("values", [[0.9, 0.1], (0.9, 0.1), np.array([0.9, 0.1]), iter((0.9, 0.1))])
+    def test_ordered_values_of_any_type_are_accepted(self, alts2, values):
+        assert Raf(alts2, values).values == (0.9, 0.1)
 
     @given(st.lists(UNIT, min_size=2, max_size=6))
     def test_round_trip_arbitrary_values(self, values):
