@@ -12,7 +12,7 @@ a witness or says ``"not_falsified"`` at this depth, never "verified".
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from itertools import chain, permutations, repeat
 from typing import Callable, Iterable, Sequence
 
@@ -26,7 +26,6 @@ __all__ = [
     "NOT_FALSIFIED",
     "FALSIFIED",
     "AxiomCheck",
-    "AxiomReport",
     "check_order_axioms",
     "falsify_weak_dominance",
     "SequenceFamily",
@@ -120,33 +119,6 @@ class AxiomCheck:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    """Per-axiom verdicts for one oracle, plus the seed that produced them."""
-
-    oracle: str
-    seed: int | None
-    checks: tuple[AxiomCheck, ...] = field(default_factory=tuple)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise ValidationError(f"no check recorded for axiom {axiom!r}")
-
-    def to_dict(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "seed": self.seed,
-            "all_passed": self.all_passed,
-            "checks": [c.to_dict() for c in self.checks],
-        }
-
-
 def _roles(*roles: str) -> Callable[..., dict]:
     """A witness record that names each point of the witness by its role."""
     return lambda *rafs: {role: raf.to_dict() for role, raf in zip(roles, rafs)}
@@ -185,17 +157,18 @@ def check_order_axioms(
     sampler: RafSampler,
     n_pairs: int,
     n_triples: int,
-) -> AxiomReport:
+) -> tuple[AxiomCheck, AxiomCheck, AxiomCheck]:
     """Probe reflexivity, connectedness and transitivity on random draws.
 
-    Reflexivity and connectedness each use ``n_pairs`` draws, transitivity
-    uses ``n_triples`` triples.  A triple is probed along a decision tree
-    that asks each ordered pair at most once and stops as soon as the
-    answers settle transitivity: 25/6 queries on average over the strict
-    rankings, at most 6.  An intransitive triple has all six pairs asked,
-    and its witness is the first violated ordering in ``permutations``
-    order.  The first violation of each axiom is re-queried before it is
-    reported.
+    Returns ``(reflexivity, connectedness, transitivity)``, one
+    :class:`AxiomCheck` each, in that order.  Reflexivity and connectedness
+    each use ``n_pairs`` draws, transitivity uses ``n_triples`` triples.  A
+    triple is probed along a decision tree that asks each ordered pair at
+    most once and stops as soon as the answers settle transitivity: 25/6
+    queries on average over the strict rankings, at most 6.  An
+    intransitive triple has all six pairs asked, and its witness is the
+    first violated ordering in ``permutations`` order.  The first violation
+    of each axiom is re-queried before it is reported.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
     n_triples = _count("n_triples", n_triples, 1)
@@ -241,7 +214,7 @@ def check_order_axioms(
         # replayed witness.
         draws = map(sampler.rafs, repeat(len(roles), n))
         checks.append(_search(axiom, draws, violated, _roles(*roles), find))
-    return AxiomReport(oracle.name, sampler.seed, tuple(checks))
+    return tuple(checks)
 
 
 def falsify_weak_dominance(

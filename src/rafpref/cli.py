@@ -182,7 +182,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
     families = builtin_families(oracle.alts, loci=loci)
     continuity = falsify_weak_continuity(oracle, families, args.depth)
 
-    all_passed = order.all_passed and dominance.passed and continuity.passed
+    all_passed = all(c.passed for c in (*order, dominance, continuity))
     payload = {
         "command": "check-axioms",
         "config": {
@@ -194,7 +194,12 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
         "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "oracle": oracle.name,
-        "order_axioms": order.to_dict(),
+        "order_axioms": {
+            "oracle": oracle.name,
+            "seed": sampler.seed,
+            "all_passed": all(c.passed for c in order),
+            "checks": [c.to_dict() for c in order],
+        },
         "weak_dominance": _fields(dominance, "verdict", "samples", "witness"),
         "weak_continuity": {
             **_fields(continuity, "verdict", "witness", "note"),

@@ -42,7 +42,6 @@ __all__ = [
     "PreferenceOracle",
     "build_oracle",
     "strictly_prefers",
-    "indifferent",
 ]
 
 KINDS = frozenset(
@@ -280,8 +279,3 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
 def strictly_prefers(oracle: PreferenceOracle, a: Raf, b: Raf) -> bool:
     """Is ``a`` better than ``b``: weakly preferred but not conversely?"""
     return oracle.weak_prefers(a, b) and not oracle.weak_prefers(b, a)
-
-
-def indifferent(oracle: PreferenceOracle, a: Raf, b: Raf) -> bool:
-    """Are ``a`` and ``b`` equally good: each weakly preferred to the other?"""
-    return oracle.weak_prefers(a, b) and oracle.weak_prefers(b, a)

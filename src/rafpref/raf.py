@@ -12,14 +12,13 @@ used by the utility construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .errors import AlternativeSetMismatchError, ValidationError, _labels, _real, _sequence
 
 __all__ = [
     "AlternativeSet",
     "Raf",
-    "make_raf",
     "top",
     "bottom",
     "scale_top",
@@ -61,9 +60,6 @@ class AlternativeSet:
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
 
-    def __contains__(self, label: object) -> bool:
-        return label in self.labels
-
 
 @dataclass(frozen=True)
 class Raf:
@@ -93,10 +89,6 @@ class Raf:
             values.append(v)
         object.__setattr__(self, "values", tuple(values))
 
-    def value(self, label: str) -> float:
-        """Availability of a single alternative."""
-        return self.values[self.alts.index(label)]
-
     def to_dict(self) -> dict:
         """JSON-ready form: ``{"alts": [...], "values": [...]}``."""
         return {"alts": list(self.alts.labels), "values": list(self.values)}
@@ -112,11 +104,6 @@ class Raf:
                 "a RAF document needs 'alts' and 'values' fields"
             ) from None
         return cls(AlternativeSet(alts), values)
-
-
-def make_raf(alts: AlternativeSet, values: Sequence[float] | Iterable[float]) -> Raf:
-    """Build a RAF over ``alts``, validating length and the [0, 1] range."""
-    return Raf(alts, values)
 
 
 def top(alts: AlternativeSet) -> Raf:

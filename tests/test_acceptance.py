@@ -26,6 +26,7 @@ import time
 import rafpref as rp
 from rafpref import (
     Menu,
+    Raf,
     RafSampler,
     bottom,
     builtin_families,
@@ -33,7 +34,6 @@ from rafpref import (
     cross_validate_choice,
     falsify_weak_continuity,
     falsify_weak_dominance,
-    make_raf,
     membership,
     scale_top,
     strictly_prefers,
@@ -259,7 +259,7 @@ def test_choice_coherence():
     tied_menu = Menu(
         alts2,
         ("good_tail", "poor_tail"),
-        (make_raf(alts2, (0.5, 0.9)), make_raf(alts2, (0.5, 0.1))),
+        (Raf(alts2, (0.5, 0.9)), Raf(alts2, (0.5, 0.1))),
     )
     report = cross_validate_choice(lex, tied_menu, tol)
     lex_ok = (

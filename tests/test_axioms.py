@@ -54,11 +54,9 @@ class TestOrderAxioms:
     )
     def test_builtins_pass_sampled(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
-        report = check_order_axioms(oracle, RafSampler(alts3, SEED), 300, 300)
-        assert report.all_passed
-        assert report.oracle == oracle.name
-        assert report.seed == SEED
-        for check in report.checks:
+        checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 300, 300)
+        assert all(c.passed for c in checks)
+        for check in checks:
             assert check.verdict == rp.PASSED_SAMPLED
             assert check.witness is None
 
@@ -71,18 +69,17 @@ class TestOrderAxioms:
 
     def test_reflexivity_falsified_with_replayed_witness(self, alts3):
         oracle = never_oracle(alts3)
-        report = check_order_axioms(oracle, RafSampler(alts3, SEED), 50, 50)
-        check = report.check("reflexivity")
+        checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 50, 50)
+        check = checks[0]
         assert check.verdict == rp.FALSIFIED
         assert check.samples == 1
         witness = Raf.from_dict(check.witness["raf"])
         assert not oracle.weak_prefers(witness, witness)
-        assert not report.all_passed
+        assert not all(c.passed for c in checks)
 
     def test_connectedness_falsified_on_a_partial_order(self, alts3):
         oracle = partial_order_oracle(alts3)
-        report = check_order_axioms(oracle, RafSampler(alts3, SEED), 200, 1)
-        check = report.check("connectedness")
+        _, check, _ = check_order_axioms(oracle, RafSampler(alts3, SEED), 200, 1)
         assert check.verdict == rp.FALSIFIED
         a = Raf.from_dict(check.witness["first"])
         b = Raf.from_dict(check.witness["second"])
@@ -91,8 +88,7 @@ class TestOrderAxioms:
 
     def test_transitivity_falsified_on_a_cycle(self, alts3):
         oracle = cyclic_oracle(alts3)
-        report = check_order_axioms(oracle, RafSampler(alts3, SEED), 1, 2000)
-        check = report.check("transitivity")
+        _, _, check = check_order_axioms(oracle, RafSampler(alts3, SEED), 1, 2000)
         assert check.verdict == rp.FALSIFIED
         x = Raf.from_dict(check.witness["first"])
         y = Raf.from_dict(check.witness["second"])
@@ -103,14 +99,11 @@ class TestOrderAxioms:
 
     def test_report_serializes(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
-        report = check_order_axioms(oracle, RafSampler(alts3, SEED), 5, 5)
-        doc = report.to_dict()
-        assert doc["all_passed"] is True
-        assert {c["axiom"] for c in doc["checks"]} == {
-            "reflexivity",
-            "connectedness",
-            "transitivity",
-        }
+        checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 5, 5)
+        docs = [c.to_dict() for c in checks]
+        assert all(c.passed for c in checks)
+        assert [d["axiom"] for d in docs] == ["reflexivity", "connectedness", "transitivity"]
+        assert all(d["verdict"] == rp.PASSED_SAMPLED and d["samples"] == 5 for d in docs)
 
 
 def reference_broken_order(weak, triple):
@@ -189,13 +182,12 @@ def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2)
         answers = dict(zip(PAIRS, pattern))
         log = []
         oracle = table_oracle(alts2, points, answers, log)
-        report = check_order_axioms(oracle, FixedSampler(points), 1, 1)
+        _, _, check = check_order_axioms(oracle, FixedSampler(points), 1, 1)
         reference = table_oracle(alts2, points, answers, [])
         witness = reference_broken_order(reference.weak_prefers, points)
         # Reflexivity and connectedness ask (0, 0) once each; then the probe
         # and, after a witness, its replay.
         assert log[:2] == [(0, 0), (0, 0)], pattern
-        check = report.check("transitivity")
         if witness is None:
             probe = log[2:]
             assert check.verdict == rp.PASSED_SAMPLED, pattern
@@ -310,8 +302,8 @@ class TestOrderSamplingIsLazy:
         bad = points[start : start + size]
 
         sampler = RafSampler(alts, SEED)
-        report = check_order_axioms(failing_oracle(alts, axiom, bad), sampler, n, n)
-        assert [(c.axiom, c.samples) for c in report.checks if not c.passed] == [(axiom, at)]
+        checks = check_order_axioms(failing_oracle(alts, axiom, bad), sampler, n, n)
+        assert [(c.axiom, c.samples) for c in checks if not c.passed] == [(axiom, at)]
 
         logged = []
         key = rp.build_oracle(rp.PreferenceSpec(kind="min"), alts).key
@@ -483,8 +475,8 @@ class TestReplayGuard:
     def run(scenario, oracle):
         alts3, alts2 = rp.AlternativeSet(("a", "b", "c")), rp.AlternativeSet(("a", "b"))
         if scenario in ("reflexivity", "connectedness", "transitivity"):
-            report = check_order_axioms(oracle(alts3), RafSampler(alts3, 5), 20, 40)
-            return report.check(scenario).verdict == rp.FALSIFIED
+            checks = check_order_axioms(oracle(alts3), RafSampler(alts3, 5), 20, 40)
+            return {c.axiom: c for c in checks}[scenario].verdict == rp.FALSIFIED
         if scenario == "dominance":
             return not falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20).passed
         return not falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10).passed
@@ -537,7 +529,8 @@ class TestSharedContract:
             return falsify_weak_dominance(oracle, sampler, cls.N)
         if axiom == "weak_continuity":
             return falsify_weak_continuity(oracle, builtin_families(alts), cls.DEPTH)
-        return check_order_axioms(oracle, sampler, cls.N, cls.N).check(axiom)
+        checks = check_order_axioms(oracle, sampler, cls.N, cls.N)
+        return {c.axiom: c for c in checks}[axiom]
 
     @classmethod
     def candidates(cls, axiom, alts):

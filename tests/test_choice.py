@@ -10,11 +10,11 @@ import rafpref as rp
 from rafpref import (
     Menu,
     PreferenceOracle,
+    Raf,
     RafSampler,
     bottom,
     choose_by_utility,
     cross_validate_choice,
-    make_raf,
     maximal_set,
     scale_top,
     strictly_prefers,
@@ -26,7 +26,7 @@ TOL = 1e-6
 
 
 def menu_of(alts, entries):
-    labels, rafs = zip(*[(label, make_raf(alts, values)) for label, values in entries])
+    labels, rafs = zip(*[(label, Raf(alts, values)) for label, values in entries])
     return Menu(alts, tuple(labels), tuple(rafs))
 
 

@@ -89,6 +89,13 @@ class TestCheckAxioms:
         payload = json.loads(out.read_text())
         assert payload["all_passed"] is True
         assert payload["order_axioms"]["all_passed"] is True
+        assert payload["order_axioms"]["oracle"] == payload["oracle"]
+        assert payload["order_axioms"]["seed"] == 0
+        assert [c["axiom"] for c in payload["order_axioms"]["checks"]] == [
+            "reflexivity",
+            "connectedness",
+            "transitivity",
+        ]
         assert payload["weak_dominance"]["verdict"] == "passed_sampled"
         assert payload["weak_continuity"]["verdict"] == "not_falsified"
         assert "not a verification" in payload["weak_continuity"]["note"]

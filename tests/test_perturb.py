@@ -6,9 +6,9 @@ import pytest
 
 import rafpref as rp
 from rafpref import (
+    Raf,
     RafSampler,
     bottom,
-    make_raf,
     perturbation_sequences,
     strictly_dominates,
     sup_distance,
@@ -20,8 +20,8 @@ SEED = 20250815
 
 class TestPartition:
     def test_mixed_tie_pattern(self, alts3):
-        upper = make_raf(alts3, (1.0, 0.6, 0.3))
-        lower = make_raf(alts3, (1.0, 0.6, 0.2))
+        upper = Raf(alts3, (1.0, 0.6, 0.3))
+        lower = Raf(alts3, (1.0, 0.6, 0.2))
         seqs = perturbation_sequences(upper, lower)
         assert seqs.at_one == ("a",)
         assert seqs.at_zero == ()
@@ -29,13 +29,13 @@ class TestPartition:
         assert seqs.interior_margin == pytest.approx(0.3)
 
     def test_margin_keeps_interior_terms_positive(self, alts3):
-        upper = make_raf(alts3, (0.4, 0.01, 1.0))
-        lower = make_raf(alts3, (0.4, 0.01, 0.5))
+        upper = Raf(alts3, (0.4, 0.01, 1.0))
+        lower = Raf(alts3, (0.4, 0.01, 0.5))
         seqs = perturbation_sequences(upper, lower)
         assert seqs.tied_interior == ("a", "b")
         assert seqs.interior_margin == pytest.approx(0.005)
         _, low_term = seqs.term(1)
-        assert low_term.value("b") > 0.0
+        assert low_term.values[alts3.index("b")] > 0.0
 
     def test_equal_rafs_are_allowed(self, alts3):
         raf = bottom(alts3)
@@ -44,14 +44,14 @@ class TestPartition:
         assert seqs.interior_margin == 0.5  # placeholder: no interior ties
 
     def test_hypothesis_failure_names_the_coordinate(self, alts3):
-        upper = make_raf(alts3, (0.9, 0.2, 0.5))
-        lower = make_raf(alts3, (0.9, 0.3, 0.5))
+        upper = Raf(alts3, (0.9, 0.2, 0.5))
+        lower = Raf(alts3, (0.9, 0.3, 0.5))
         with pytest.raises(rp.DominanceHypothesisError, match="'b'"):
             perturbation_sequences(upper, lower)
 
     def test_hypothesis_failure_names_the_first_of_two_coordinates(self, alts3):
-        upper = make_raf(alts3, (0.9, 0.2, 0.4))
-        lower = make_raf(alts3, (0.9, 0.3, 0.5))
+        upper = Raf(alts3, (0.9, 0.2, 0.4))
+        lower = Raf(alts3, (0.9, 0.3, 0.5))
         with pytest.raises(rp.DominanceHypothesisError) as excinfo:
             perturbation_sequences(upper, lower)
         assert str(excinfo.value) == "pointwise dominance fails at 'b': 0.2 < 0.3"
@@ -64,7 +64,7 @@ class TestPartition:
 class TestTerms:
     def test_worked_example_term_one(self, alts3):
         seqs = perturbation_sequences(
-            make_raf(alts3, (1.0, 0.6, 0.3)), make_raf(alts3, (1.0, 0.6, 0.2))
+            Raf(alts3, (1.0, 0.6, 0.3)), Raf(alts3, (1.0, 0.6, 0.2))
         )
         upper_1, lower_1 = seqs.term(1)
         assert upper_1.values == (1.0, 0.6, 0.3)
@@ -72,7 +72,7 @@ class TestTerms:
 
     def test_worked_example_term_ten(self, alts3):
         seqs = perturbation_sequences(
-            make_raf(alts3, (1.0, 0.6, 0.3)), make_raf(alts3, (1.0, 0.6, 0.2))
+            Raf(alts3, (1.0, 0.6, 0.3)), Raf(alts3, (1.0, 0.6, 0.2))
         )
         upper_10, lower_10 = seqs.term(10)
         assert upper_10.values == (1.0, 0.6, 0.3)
@@ -111,7 +111,7 @@ class TestTerms:
 
     def test_largest_term_indices_still_strict(self, alts2):
         # 2.0 * n overflows to inf here, yet the step 1/(2n) is a subnormal above 0.
-        upper = make_raf(alts2, (1.0, 0.0))
+        upper = Raf(alts2, (1.0, 0.0))
         up_n, low_n = perturbation_sequences(upper, upper).term(int(1.5e308))
         assert strictly_dominates(up_n, low_n)
         assert up_n.values[1] == 0.5 / 1.5e308
@@ -136,8 +136,8 @@ class TestContract:
             assert sup_distance(lower_n, lower) <= bound
 
     def test_terms_converge_to_the_pair(self, alts3):
-        upper = make_raf(alts3, (1.0, 0.5, 0.0))
-        lower = make_raf(alts3, (1.0, 0.5, 0.0))
+        upper = Raf(alts3, (1.0, 0.5, 0.0))
+        lower = Raf(alts3, (1.0, 0.5, 0.0))
         seqs = perturbation_sequences(upper, lower)
         distances = [
             max(
@@ -153,7 +153,7 @@ class TestContract:
     def test_steps_below_one_ulp_take_the_predecessor(self, alts2, tied):
         # At n = 10**20 the step is far below one ulp of the tied value: the
         # lower term is the next float below it, past the 1/(2n) bound.
-        seqs = perturbation_sequences(make_raf(alts2, (tied, 0.9)), make_raf(alts2, (tied, 0.1)))
+        seqs = perturbation_sequences(Raf(alts2, (tied, 0.9)), Raf(alts2, (tied, 0.1)))
         n = 10**20
         upper_n, lower_n = seqs.term(n)
         assert strictly_dominates(upper_n, lower_n)
@@ -161,7 +161,7 @@ class TestContract:
         assert 1.0 / (2.0 * n) < sup_distance(lower_n, seqs.lower) <= math.ulp(tied)
 
     def test_bound_holds_down_to_a_step_of_one_ulp(self, alts2):
-        seqs = perturbation_sequences(make_raf(alts2, (1.0, 0.9)), make_raf(alts2, (1.0, 0.1)))
+        seqs = perturbation_sequences(Raf(alts2, (1.0, 0.9)), Raf(alts2, (1.0, 0.1)))
         n = 2**51  # step 1/(2n) is exactly one ulp of 1.0
         upper_n, lower_n = seqs.term(n)
         assert strictly_dominates(upper_n, lower_n)
@@ -169,8 +169,8 @@ class TestContract:
 
     def test_extreme_tied_values_still_strict(self, alts2):
         # Ties close to the cube corners stress the float clamping.
-        upper = make_raf(alts2, (1e-12, 1.0 - 1e-12))
-        lower = make_raf(alts2, (1e-12, 1.0 - 1e-12))
+        upper = Raf(alts2, (1e-12, 1.0 - 1e-12))
+        lower = Raf(alts2, (1e-12, 1.0 - 1e-12))
         seqs = perturbation_sequences(upper, lower)
         for n in (1, 1000):
             upper_n, lower_n = seqs.term(n)

@@ -15,7 +15,6 @@ from rafpref import (
     AlternativeSet,
     Raf,
     bottom,
-    make_raf,
     pointwise_dominates,
     scale_top,
     strictly_dominates,
@@ -58,30 +57,30 @@ class TestAlternativeSet:
 
 class TestRafConstruction:
     def test_boundary_values_allowed(self, alts3):
-        raf = make_raf(alts3, (0.0, 1.0, 0.5))
+        raf = Raf(alts3, (0.0, 1.0, 0.5))
         assert raf.values == (0.0, 1.0, 0.5)
-        assert raf.value("b") == 1.0
+        assert raf.values[alts3.index("b")] == 1.0
 
     def test_out_of_range_names_the_alternative(self, alts3):
         with pytest.raises(rp.ValidationError, match="'b'"):
-            make_raf(alts3, (0.5, 1.2, 0.5))
+            Raf(alts3, (0.5, 1.2, 0.5))
         with pytest.raises(rp.ValidationError, match="'a'"):
-            make_raf(alts3, (-0.1, 0.2, 0.5))
+            Raf(alts3, (-0.1, 0.2, 0.5))
 
     def test_nan_rejected(self, alts3):
         with pytest.raises(rp.ValidationError):
-            make_raf(alts3, (0.5, float("nan"), 0.5))
+            Raf(alts3, (0.5, float("nan"), 0.5))
 
     def test_length_mismatch(self, alts3):
         with pytest.raises(rp.ValidationError, match="expected 3 values"):
-            make_raf(alts3, (0.5, 0.5))
+            Raf(alts3, (0.5, 0.5))
 
     def test_non_numeric_rejected(self, alts3):
         with pytest.raises(rp.ValidationError):
-            make_raf(alts3, (0.5, "0.5", 0.5))
+            Raf(alts3, (0.5, "0.5", 0.5))
 
     def test_integer_values_coerced(self, alts3):
-        raf = make_raf(alts3, (0, 1, 1))
+        raf = Raf(alts3, (0, 1, 1))
         assert raf.values == (0.0, 1.0, 1.0)
         assert all(isinstance(v, float) for v in raf.values)
 
@@ -89,17 +88,17 @@ class TestRafConstruction:
         raf = Raf(alts3, (np.float32(0.5), np.int64(1), np.float64(0.25)))
         assert raf.values == (0.5, 1.0, 0.25)
         assert all(type(v) is float for v in raf.values)
-        assert raf == make_raf(alts3, (0.5, 1.0, 0.25))
+        assert raf == Raf(alts3, (0.5, 1.0, 0.25))
 
     @pytest.mark.parametrize("bad", [True, np.bool_(True), np.float32("nan"), None, 1j])
     def test_bools_nan_and_non_reals_rejected(self, alts3, bad):
         with pytest.raises(rp.ValidationError, match="at 'b' must be a real number"):
-            make_raf(alts3, (0.5, bad, 0.5))
+            Raf(alts3, (0.5, bad, 0.5))
 
     @pytest.mark.parametrize("big", [10**400, -(10**400), Fraction(10**400, 3)])
     def test_numbers_beyond_float_range_rejected(self, alts3, big):
         with pytest.raises(rp.ValidationError, match="at 'b' is too large for a float"):
-            make_raf(alts3, (0.5, big, 0.5))
+            Raf(alts3, (0.5, big, 0.5))
 
 
 class TestCorners:
@@ -138,14 +137,14 @@ class TestCorners:
 
 class TestDominance:
     def test_strict_requires_every_coordinate(self, alts2):
-        assert strictly_dominates(make_raf(alts2, (0.9, 0.5)), make_raf(alts2, (0.5, 0.1)))
-        assert not strictly_dominates(make_raf(alts2, (0.9, 0.5)), make_raf(alts2, (0.5, 0.5)))
-        assert not strictly_dominates(make_raf(alts2, (0.9, 0.1)), make_raf(alts2, (0.5, 0.5)))
+        assert strictly_dominates(Raf(alts2, (0.9, 0.5)), Raf(alts2, (0.5, 0.1)))
+        assert not strictly_dominates(Raf(alts2, (0.9, 0.5)), Raf(alts2, (0.5, 0.5)))
+        assert not strictly_dominates(Raf(alts2, (0.9, 0.1)), Raf(alts2, (0.5, 0.5)))
 
     def test_pointwise_allows_ties(self, alts2):
-        assert pointwise_dominates(make_raf(alts2, (0.9, 0.5)), make_raf(alts2, (0.5, 0.5)))
-        assert pointwise_dominates(make_raf(alts2, (0.5, 0.5)), make_raf(alts2, (0.5, 0.5)))
-        assert not pointwise_dominates(make_raf(alts2, (0.9, 0.4)), make_raf(alts2, (0.5, 0.5)))
+        assert pointwise_dominates(Raf(alts2, (0.9, 0.5)), Raf(alts2, (0.5, 0.5)))
+        assert pointwise_dominates(Raf(alts2, (0.5, 0.5)), Raf(alts2, (0.5, 0.5)))
+        assert not pointwise_dominates(Raf(alts2, (0.9, 0.4)), Raf(alts2, (0.5, 0.5)))
 
     def test_top_strictly_dominates_bottom(self, alts5):
         assert strictly_dominates(top(alts5), bottom(alts5))
@@ -159,7 +158,7 @@ class TestDominance:
     def test_strict_dominance_on_a_coarse_lattice(self, alts3):
         # Exhaustive over the 27-point lattice: irreflexive, transitive, and
         # strict implies pointwise but never the reverse direction.
-        grid = [make_raf(alts3, v) for v in itertools.product((0.0, 0.5, 1.0), repeat=3)]
+        grid = [Raf(alts3, v) for v in itertools.product((0.0, 0.5, 1.0), repeat=3)]
         for a in grid:
             assert not strictly_dominates(a, a)
             for b in grid:
@@ -173,36 +172,36 @@ class TestDominance:
 
 class TestSupDistance:
     def test_zero_on_equal(self, alts3):
-        raf = make_raf(alts3, (0.2, 0.4, 0.6))
+        raf = Raf(alts3, (0.2, 0.4, 0.6))
         assert sup_distance(raf, raf) == 0.0
 
     def test_corners_are_one_apart(self, alts3):
         assert sup_distance(top(alts3), bottom(alts3)) == 1.0
 
     def test_picks_the_largest_gap(self, alts2):
-        a = make_raf(alts2, (0.9, 0.5))
-        b = make_raf(alts2, (0.5, 0.6))
+        a = Raf(alts2, (0.9, 0.5))
+        b = Raf(alts2, (0.5, 0.6))
         assert sup_distance(a, b) == pytest.approx(0.4)
 
     def test_symmetry(self, alts3):
-        a = make_raf(alts3, (0.1, 0.7, 0.3))
-        b = make_raf(alts3, (0.6, 0.2, 0.3))
+        a = Raf(alts3, (0.1, 0.7, 0.3))
+        b = Raf(alts3, (0.6, 0.2, 0.3))
         assert sup_distance(a, b) == sup_distance(b, a)
 
     @given(st.lists(UNIT, min_size=3, max_size=3), st.lists(UNIT, min_size=3, max_size=3), st.lists(UNIT, min_size=3, max_size=3))
     def test_triangle_inequality(self, xs, ys, zs):
         alts = AlternativeSet(("a", "b", "c"))
-        a, b, c = make_raf(alts, xs), make_raf(alts, ys), make_raf(alts, zs)
+        a, b, c = Raf(alts, xs), Raf(alts, ys), Raf(alts, zs)
         assert sup_distance(a, c) <= sup_distance(a, b) + sup_distance(b, c) + 1e-15
 
 
 class TestSerialization:
     def test_dict_shape(self, alts2):
-        raf = make_raf(alts2, (0.25, 0.75))
+        raf = Raf(alts2, (0.25, 0.75))
         assert raf.to_dict() == {"alts": ["a", "b"], "values": [0.25, 0.75]}
 
     def test_round_trip_is_exact(self, alts3):
-        raf = make_raf(alts3, (0.1, 0.9999999999999999, 1.0))
+        raf = Raf(alts3, (0.1, 0.9999999999999999, 1.0))
         again = Raf.from_dict(json.loads(json.dumps(raf.to_dict())))
         assert again == raf
 
@@ -227,10 +226,10 @@ class TestSerialization:
             (lambda ab: Raf(ab, 0.5), "values"),
             (lambda ab: Raf(ab, "01"), "values"),
             (lambda ab: Raf.from_dict({"alts": ["a", "b"], "values": 0.5}), "values"),
-            (lambda ab: make_raf(ab, {0.9, 0.1}), "values"),
+            (lambda ab: Raf(ab, frozenset((0.9, 0.1))), "values"),
         ],
         ids=["str-alts", "set-alts", "int-alts", "long-int-alts", "set-values", "float-values",
-             "str-values", "from-dict-float-values", "make-raf-set-values"],
+             "str-values", "from-dict-float-values", "frozenset-values"],
     )
     def test_shapes_that_are_not_lists_are_refused(self, alts2, build, name):
         with pytest.raises(rp.ValidationError, match=f"^{name} must be a list, got "):
@@ -243,7 +242,7 @@ class TestSerialization:
     @given(st.lists(UNIT, min_size=2, max_size=6))
     def test_round_trip_arbitrary_values(self, values):
         alts = AlternativeSet(tuple(f"x{i}" for i in range(len(values))))
-        raf = make_raf(alts, values)
+        raf = Raf(alts, values)
         again = Raf.from_dict(json.loads(json.dumps(raf.to_dict())))
         assert again == raf
         assert again.values == raf.values

@@ -14,12 +14,12 @@ from hypothesis import strategies as st
 import rafpref as rp
 from rafpref import (
     PreferenceOracle,
+    Raf,
     RafSampler,
     UtilityResult,
     bottom,
     check_certificate,
     compute_u,
-    make_raf,
     membership,
     scale_top,
     top,
@@ -54,12 +54,12 @@ class FixedSampler:
 class TestMembership:
     def test_level_below_the_mean_is_not_member(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         assert not membership(oracle, raf, 0.3)
         assert membership(oracle, raf, 0.7)
 
     def test_full_availability_is_member_for_monotone_kinds(self, alts3, oracle_factory):
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         for kind in ("additive", "min", "geometric", "lexicographic"):
             assert membership(oracle_factory(kind, alts3), raf, 1.0)
 
@@ -74,19 +74,19 @@ class TestMembership:
 class TestComputeU:
     def test_additive_matches_the_mean(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         result = compute_u(oracle, raf, TOL)
         assert result.u == pytest.approx(0.5, abs=TOL)
 
     def test_min_matches_the_worst_coordinate(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         result = compute_u(oracle, raf, TOL)
         assert result.u == pytest.approx(0.1, abs=TOL)
 
     def test_geometric_matches_the_geometric_mean(self, alts2, oracle_factory):
         oracle = oracle_factory("geometric", alts2)
-        raf = make_raf(alts2, (0.25, 1.0))
+        raf = Raf(alts2, (0.25, 1.0))
         result = compute_u(oracle, raf, TOL)
         assert result.u == pytest.approx(0.5, abs=TOL)
 
@@ -101,7 +101,7 @@ class TestComputeU:
 
     def test_bracket_certifies_the_result(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
-        raf = make_raf(alts3, (0.8, 0.2, 0.5))
+        raf = Raf(alts3, (0.8, 0.2, 0.5))
         result = compute_u(oracle, raf, TOL)
         assert result.hi - result.lo <= 2.0 * TOL
         assert result.u == 0.5 * (result.lo + result.hi)
@@ -124,13 +124,13 @@ class TestComputeU:
 
     def test_wide_tolerance_yields_the_trivial_bracket(self, alts3, oracle_factory):
         oracle = hintless(oracle_factory("additive", alts3))
-        result = compute_u(oracle, make_raf(alts3, (0.9, 0.5, 0.1)), 0.5)
+        result = compute_u(oracle, Raf(alts3, (0.9, 0.5, 0.1)), 0.5)
         assert (result.lo, result.hi, result.u) == (0.0, 1.0, 0.5)
         assert result.oracle_calls == 2
 
     def test_anti_monotone_raises_with_the_probed_parameters(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         with pytest.raises(rp.DiagonalMonotonicityError) as excinfo:
             compute_u(oracle, raf, TOL)
         err = excinfo.value
@@ -147,7 +147,7 @@ class TestComputeU:
 
     def test_indifferent_everywhere_collapses_to_zero(self, alts3):
         oracle = PreferenceOracle("flat", alts3, lambda a, b: True)
-        result = compute_u(oracle, make_raf(alts3, (0.3, 0.6, 0.9)), TOL)
+        result = compute_u(oracle, Raf(alts3, (0.3, 0.6, 0.9)), TOL)
         assert result.u == 0.0 and result.exact
 
     def test_diagonal_membership_is_an_up_set(self, alts5, oracle_factory):
@@ -199,7 +199,7 @@ class TestTolContract:
     @example(tol=TOL_FLOOR, values=(0.99999, 1.0, 1.0), kind="min")
     def test_bracket_and_budget_hold(self, tol, values, kind):
         oracle = rp.build_oracle(MONOTONE[kind], ALTS3)
-        raf = make_raf(ALTS3, values)
+        raf = Raf(ALTS3, values)
         result = compute_u(oracle, raf, tol)
         assert result.hi - result.lo <= 2.0 * tol
         assert result.oracle_calls <= call_budget(tol)
@@ -207,7 +207,7 @@ class TestTolContract:
 
     def test_the_floor_uses_55_of_56_queries(self):
         oracle = hintless(rp.build_oracle(MONOTONE["min"], ALTS3))
-        result = compute_u(oracle, make_raf(ALTS3, (0.99999, 1.0, 1.0)), TOL_FLOOR)
+        result = compute_u(oracle, Raf(ALTS3, (0.99999, 1.0, 1.0)), TOL_FLOOR)
         assert (result.oracle_calls, call_budget(TOL_FLOOR)) == (55, 56)
         assert result.lo < 0.99999 <= result.hi
 
@@ -221,7 +221,7 @@ class TestTolContract:
 
         oracle = PreferenceOracle("counted-min", ALTS3, query)
         with pytest.raises(rp.ValidationError, match=r"\[2\*\*-54, 0\.5\]"):
-            compute_u(oracle, make_raf(ALTS3, (0.99999, 1.0, 1.0)), tol)
+            compute_u(oracle, Raf(ALTS3, (0.99999, 1.0, 1.0)), tol)
         assert calls == []
 
 
@@ -272,7 +272,7 @@ class TestQueryCount:
 
     def test_counted_queries_equal_oracle_calls(self, monkeypatch, alts5, kind, point, tol):
         oracle = self.oracle(BISECTING[kind], alts5)
-        raf = make_raf(alts5, POINTS[point])
+        raf = Raf(alts5, POINTS[point])
         result, counted = counted_probes(monkeypatch, oracle, raf, tol)
         assert len(counted) == result.oracle_calls <= call_budget(tol)
         for probe, target in counted:
@@ -294,7 +294,7 @@ POINT3 = st.one_of(
     st.one_of(COORDINATE, DYADIC).map(lambda t: (t,) * 3),  # diagonal points
 )
 ALTS2 = rp.AlternativeSet(("x", "y"))
-INSIDE = make_raf(ALTS2, (0.5, 0.5))  # not the all-ones point, so nothing ends early
+INSIDE = Raf(ALTS2, (0.5, 0.5))  # not the all-ones point, so nothing ends early
 
 
 def up_set(level: float, closed: bool, hint: float | None) -> PreferenceOracle:
@@ -325,7 +325,7 @@ class TestHintedCell:
     @example(tol=2.0**-10, values=(0.5,) * 3, kind="min")
     @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE, 1.0, 1.0), kind="lexicographic")
     def test_bracket_equals_bisection(self, tol, values, kind):
-        raf = make_raf(ALTS3, values)
+        raf = Raf(ALTS3, values)
         hinted = compute_u(rp.build_oracle(HINTED[kind], ALTS3), raf, tol)
         plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
         assert bracket(hinted) == bracket(plain)
@@ -375,7 +375,7 @@ class TestHintedCell:
     @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="lexicographic", hint=-0.5)
     @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="threshold", hint=2.0)
     def test_a_bad_hint_keeps_the_bracket_and_the_budget(self, tol, values, kind, hint):
-        raf = make_raf(ALTS3, values)
+        raf = Raf(ALTS3, values)
         oracle = rp.build_oracle(HINTED[kind], ALTS3)
         oracle.diagonal = lambda _: hint
         result = compute_u(oracle, raf, tol)
@@ -396,7 +396,7 @@ class TestHintedCell:
             diagonal=lambda raf: asked.append(raf) or 0.5,
         )
         with pytest.raises(rp.DiagonalMonotonicityError) as excinfo:
-            compute_u(oracle, make_raf(alts3, (0.3, 0.6, 0.9)), TOL)
+            compute_u(oracle, Raf(alts3, (0.3, 0.6, 0.9)), TOL)
         assert (excinfo.value.t_member, excinfo.value.t_nonmember) == (0.0, 1.0)
         assert asked == []
 
@@ -444,7 +444,7 @@ class TestUtilityResult:
         assert not UtilityResult(u=0.5, lo=0.45, hi=0.55, tol=0.1, oracle_calls=4).exact
 
     def test_to_dict_lists_the_fields_in_order(self, alts3, oracle_factory):
-        result = compute_u(oracle_factory("additive", alts3), make_raf(alts3, (0.2, 0.5, 0.9)), TOL)
+        result = compute_u(oracle_factory("additive", alts3), Raf(alts3, (0.2, 0.5, 0.9)), TOL)
         doc = result.to_dict()
         assert list(doc) == [f.name for f in dataclasses.fields(UtilityResult)]
         assert doc == dataclasses.asdict(result)
@@ -453,7 +453,7 @@ class TestUtilityResult:
 class TestCertificate:
     def test_accepts_a_fresh_result(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
-        raf = make_raf(alts3, (0.7, 0.4, 0.9))
+        raf = Raf(alts3, (0.7, 0.4, 0.9))
         result = compute_u(oracle, raf, TOL)
         assert check_certificate(oracle, raf, result)
 
@@ -464,7 +464,7 @@ class TestCertificate:
 
     def test_rejects_after_the_oracle_changes(self, alts3, oracle_factory):
         before = oracle_factory("additive", alts3)
-        raf = make_raf(alts3, (0.9, 0.5, 0.1))
+        raf = Raf(alts3, (0.9, 0.5, 0.1))
         result = compute_u(before, raf, TOL)
         after = PreferenceOracle(
             "flipped", alts3, lambda a, b: not before.weak_prefers(a, b)
@@ -494,7 +494,7 @@ class TestValidateRepresentation:
         # the oracle still strictly prefers one: the non-representability
         # signature shows up as an indeterminate pair with a strict answer.
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
-        sampler = FixedSampler([make_raf(alts2, (0.5, 0.9)), make_raf(alts2, (0.5, 0.1))], seed=0)
+        sampler = FixedSampler([Raf(alts2, (0.5, 0.9)), Raf(alts2, (0.5, 0.1))], seed=0)
         report = validate_representation(oracle, sampler, 1, 1e-9)
         assert report.indeterminate == 1
         assert report.indeterminate_strict == 1
