@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping
 
-from .errors import DiagonalMonotonicityError, MenuAxiomError, ValidationError, _labels, _sequence
+from .errors import (
+    DiagonalMonotonicityError, MenuAxiomError, ValidationError, _labels, _sequence, _tol
+)
 from .preference import PreferenceOracle
 from .raf import AlternativeSet, Raf
 from .utility import UtilityResult, compute_u
@@ -196,14 +198,18 @@ def choose_by_utility(
 
 @dataclass(frozen=True)
 class ChoiceCrossReport:
-    """Comparison of tournament choice against utility-band choice."""
+    """Comparison of tournament choice against utility-band choice.
+
+    ``escaped`` lists the tournament winners outside the band, ``band_artifacts``
+    the band items the tournament did not choose, and ``utilities`` every
+    item's utility; all follow menu order.
+    """
 
     tournament: tuple[str, ...]
     utility_band: tuple[str, ...]
     escaped: tuple[str, ...]
     band_artifacts: tuple[str, ...]
     utilities: Mapping[str, float]
-    tol: float
 
     @property
     def agreed(self) -> bool:
@@ -217,7 +223,6 @@ class ChoiceCrossReport:
             "escaped": list(self.escaped),
             "band_artifacts": list(self.band_artifacts),
             "utilities": dict(self.utilities),
-            "tol": self.tol,
             "agreed": self.agreed,
         }
 
@@ -229,6 +234,7 @@ def cross_validate_choice(oracle: PreferenceOracle, menu: Menu, tol: float) -> C
     band's ``2 * tol`` resolution, not failures; a tournament winner outside
     the band (an escapee) is a genuine disagreement.
     """
+    tol = _tol(tol)  # refused before the tournament asks anything
     tournament = maximal_set(oracle, menu)
     band, utilities = choose_by_utility(oracle, menu, tol)
     in_band = set(band)
@@ -239,5 +245,4 @@ def cross_validate_choice(oracle: PreferenceOracle, menu: Menu, tol: float) -> C
         escaped=tuple(label for label in tournament if label not in in_band),
         band_artifacts=tuple(label for label in band if label not in won),
         utilities=utilities,
-        tol=float(tol),
     )

@@ -40,7 +40,6 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .axioms import (
-    AxiomCheck,
     builtin_families,
     check_order_axioms,
     falsify_weak_continuity,
@@ -169,10 +168,6 @@ def _table_report(
     return buf.getvalue()
 
 
-def _fields(check: AxiomCheck, *names: str) -> dict:
-    return {name: getattr(check, name) for name in names}
-
-
 def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
     spec, oracle, sampler = _sampled_setup(args)
 
@@ -190,22 +185,14 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
             "pairs": args.pairs,
             "triples": args.triples,
             "depth": args.depth,
+            "families": len(families),
         },
         "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "oracle": oracle.name,
-        "order_axioms": {
-            "oracle": oracle.name,
-            "seed": sampler.seed,
-            "all_passed": all(c.passed for c in order),
-            "checks": [c.to_dict() for c in order],
-        },
-        "weak_dominance": _fields(dominance, "verdict", "samples", "witness"),
-        "weak_continuity": {
-            **_fields(continuity, "verdict", "witness", "note"),
-            "families": len(families),
-            "depth": args.depth,
-        },
+        "order_axioms": {"checks": [c.to_dict() for c in order]},
+        "weak_dominance": dominance.to_dict(),
+        "weak_continuity": continuity.to_dict(),
         "all_passed": all_passed,
     }
     return _to_json(payload), 0 if all_passed else 2
@@ -244,6 +231,7 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
         "config": {"seed": args.seed, "tol": args.tol, "pairs": args.pairs},
         "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
+        "oracle": oracle.name,
         "report": report.to_dict(),
     }
     return _to_json(payload), 0 if not report.violations else 2

@@ -31,7 +31,6 @@ __all__ = [
     "UtilityResult",
     "compute_u",
     "check_certificate",
-    "RepresentationViolation",
     "RepresentationReport",
     "validate_representation",
 ]
@@ -184,28 +183,6 @@ def check_certificate(oracle: PreferenceOracle, raf: Raf, result: UtilityResult)
 
 
 @dataclass(frozen=True)
-class RepresentationViolation:
-    """A sampled pair on which utilities and the oracle disagree outright."""
-
-    first: Raf
-    second: Raf
-    u_first: float
-    u_second: float
-    weak_first_second: bool
-    weak_second_first: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "first": self.first.to_dict(),
-            "second": self.second.to_dict(),
-            "u_first": self.u_first,
-            "u_second": self.u_second,
-            "weak_first_second": self.weak_first_second,
-            "weak_second_first": self.weak_second_first,
-        }
-
-
-@dataclass(frozen=True)
 class RepresentationReport:
     """Outcome counts of a sampled representation check.
 
@@ -214,17 +191,18 @@ class RepresentationReport:
     oracle's answers.  Pairs inside the band are indeterminate: the brackets
     cannot separate them.  ``indeterminate_strict`` counts the indeterminate
     pairs on which the oracle nevertheless expresses a strict preference,
-    the signature of an order that no single utility can represent.
+    the signature of an order that no single utility can represent.  Each
+    violation is a JSON-ready record of its pair: the points ``first`` and
+    ``second`` (``Raf.from_dict`` reads them back), their utilities
+    ``u_first`` and ``u_second``, and the oracle's answers
+    ``weak_first_second`` and ``weak_second_first``.
     """
 
-    oracle: str
-    seed: int | None
-    tol: float
     pairs_tested: int
     confirmed: int
     indeterminate: int
     indeterminate_strict: int
-    violations: tuple[RepresentationViolation, ...]
+    violations: tuple[dict, ...]
 
     def __post_init__(self) -> None:
         if self.confirmed + self.indeterminate + len(self.violations) != self.pairs_tested:
@@ -240,16 +218,7 @@ class RepresentationReport:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "oracle": self.oracle,
-            "seed": self.seed,
-            "tol": self.tol,
-            "pairs_tested": self.pairs_tested,
-            "confirmed": self.confirmed,
-            "indeterminate": self.indeterminate,
-            "indeterminate_strict": self.indeterminate_strict,
-            "violations": [v.to_dict() for v in self.violations],
-        }
+        return {**vars(self), "violations": list(self.violations)}
 
 
 def validate_representation(
@@ -263,9 +232,10 @@ def validate_representation(
     Each pair costs two utility computations plus two preference queries.  A pair is
     confirmed when the utilities are separated by more than ``2 * tol`` and
     the oracle's two answers match the sign of the separation exactly; any
-    mismatch is recorded as a violation with full data.  ``n_pairs`` may be
-    zero, yielding an empty report.  A diagonal-monotonicity failure inside
-    a utility computation propagates, with the offending pair named.
+    mismatch is recorded as a violation, the pair's JSON-ready record (see
+    :class:`RepresentationReport`).  ``n_pairs`` may be zero, yielding an
+    empty report.  A diagonal-monotonicity failure inside a utility
+    computation propagates, with the offending pair named.
     """
     n_pairs = _count("n_pairs", n_pairs, 0)
     tol = _tol(tol)
@@ -292,13 +262,11 @@ def validate_representation(
         ):
             confirmed += 1
         else:
-            violations.append(
-                RepresentationViolation(a, b, u_a, u_b, weak_ab, weak_ba)
-            )
+            violations.append(dict(
+                first=a.to_dict(), second=b.to_dict(), u_first=u_a, u_second=u_b,
+                weak_first_second=weak_ab, weak_second_first=weak_ba,
+            ))
     return RepresentationReport(
-        oracle=oracle.name,
-        seed=sampler.seed,
-        tol=tol,
         pairs_tested=n_pairs,
         confirmed=confirmed,
         indeterminate=indeterminate,

@@ -251,6 +251,20 @@ class TestCrossValidation:
         assert report.band_artifacts == ("poor_tail",)
         assert report.escaped == ()
 
+    @pytest.mark.parametrize("tol", [0.0, 0.6, float("nan")])
+    def test_a_bad_tol_is_refused_before_any_query(self, alts2, tol):
+        asked = []
+
+        def query(a, b):
+            asked.append((a, b))
+            return min(a.values) >= min(b.values)
+
+        oracle = PreferenceOracle("counted-min", alts2, query)
+        menu = menu_of(alts2, [("x", (0.2, 0.9)), ("y", (0.5, 0.5)), ("z", (0.7, 0.3))])
+        with pytest.raises(rp.ValidationError, match="tolerance"):
+            cross_validate_choice(oracle, menu, tol)
+        assert asked == []
+
     def test_report_serializes(self, alts2, oracle_factory):
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(alts2, [("x", (0.4, 0.4)), ("y", (0.6, 0.6))])

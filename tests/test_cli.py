@@ -88,9 +88,9 @@ class TestCheckAxioms:
         assert rc == 0
         payload = json.loads(out.read_text())
         assert payload["all_passed"] is True
-        assert payload["order_axioms"]["all_passed"] is True
-        assert payload["order_axioms"]["oracle"] == payload["oracle"]
-        assert payload["order_axioms"]["seed"] == 0
+        assert payload["config"]["seed"] == 0
+        assert payload["oracle"] == "additive[0.5,0.5]"
+        assert list(payload["order_axioms"]) == ["checks"]
         assert [c["axiom"] for c in payload["order_axioms"]["checks"]] == [
             "reflexivity",
             "connectedness",
@@ -155,24 +155,16 @@ class TestCheckAxioms:
         parsed = rp.PreferenceSpec.from_dict(spec)
         oracle = rp.build_oracle(parsed, alts)
         sampler = rp.RafSampler(alts, 7)
-        rp.check_order_axioms(oracle, sampler, 30, 30)
+        order = rp.check_order_axioms(oracle, sampler, 30, 30)
         dominance = rp.falsify_weak_dominance(oracle, sampler, 30)
         loci = (0.5,) if parsed.cutoff is None else (0.5, parsed.cutoff)
         families = rp.builtin_families(alts, loci=loci)
         continuity = rp.falsify_weak_continuity(oracle, families, 12)
 
-        assert payload["weak_dominance"] == {
-            "verdict": dominance.verdict,
-            "samples": dominance.samples,
-            "witness": dominance.witness,
-        }
-        assert payload["weak_continuity"] == {
-            "verdict": continuity.verdict,
-            "witness": continuity.witness,
-            "note": continuity.note,
-            "families": len(families),
-            "depth": 12,
-        }
+        assert payload["order_axioms"]["checks"] == [c.to_dict() for c in order]
+        assert payload["weak_dominance"] == dominance.to_dict()
+        assert payload["weak_continuity"] == continuity.to_dict()
+        assert payload["config"]["families"] == len(families)
 
     def test_missing_file_exits_one(self, tmp_path, capsys):
         rc = cli.main(["check-axioms", "--spec", str(tmp_path / "nope.json")])
@@ -360,6 +352,8 @@ class TestValidate:
         payload = json.loads(out.read_text())
         assert payload["report"]["pairs_tested"] == 50
         assert payload["report"]["violations"] == []
+        assert payload["oracle"] == "additive[0.5,0.5]"
+        assert not {"oracle", "seed", "tol"} & set(payload["report"])
 
     def test_lexicographic_with_loose_tol_flags_indeterminates(self, lex_spec, tmp_path):
         out = tmp_path / "validate.json"
@@ -397,6 +391,8 @@ class TestChoose:
         assert payload["result"]["tournament"] == ["right"]
         assert payload["result"]["utility_band"] == ["right"]
         assert payload["result"]["agreed"] is True
+        assert payload["oracle"] == "additive[0.5,0.5]"
+        assert not {"oracle", "seed", "tol"} & set(payload["result"])
 
     def test_lexicographic_band_artifact(self, tmp_path):
         spec = write_json(

@@ -43,9 +43,8 @@ def hintless(oracle: PreferenceOracle) -> PreferenceOracle:
 class FixedSampler:
     """Duck-typed sampler that replays a fixed list of RAFs."""
 
-    def __init__(self, rafs, seed=None):
+    def __init__(self, rafs):
         self._rafs = list(rafs)
-        self.seed = seed
 
     def raf(self):
         return self._rafs.pop(0)
@@ -494,7 +493,7 @@ class TestValidateRepresentation:
         # the oracle still strictly prefers one: the non-representability
         # signature shows up as an indeterminate pair with a strict answer.
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
-        sampler = FixedSampler([Raf(alts2, (0.5, 0.9)), Raf(alts2, (0.5, 0.1))], seed=0)
+        sampler = FixedSampler([Raf(alts2, (0.5, 0.9)), Raf(alts2, (0.5, 0.1))])
         report = validate_representation(oracle, sampler, 1, 1e-9)
         assert report.indeterminate == 1
         assert report.indeterminate_strict == 1
@@ -526,4 +525,25 @@ class TestValidateRepresentation:
         doc = report.to_dict()
         assert doc["pairs_tested"] == 20
         assert doc["violations"] == []
-        assert doc["seed"] == SEED
+
+    def test_an_intransitive_oracle_records_its_violations(self, alts5):
+        # "At least as large on half the coordinates or more" is reflexive,
+        # connected and weakly dominant, but not transitive: no utility
+        # represents it, and its diagonal utility is the median coordinate.
+        def query(a, b):
+            return 2 * sum(x >= y for x, y in zip(a.values, b.values)) >= len(a.values)
+
+        oracle = PreferenceOracle("majority", alts5, query)
+        report = validate_representation(oracle, RafSampler(alts5, SEED), 200, TOL)
+        assert report.violations
+        doc = json.loads(json.dumps(report.to_dict()))
+        assert doc["violations"] == list(report.violations)
+        keys = {"first", "second", "u_first", "u_second", "weak_first_second", "weak_second_first"}
+        for record in report.violations:
+            assert set(record) == keys
+            first, second = Raf.from_dict(record["first"]), Raf.from_dict(record["second"])
+            assert (first.to_dict(), second.to_dict()) == (record["first"], record["second"])
+            assert record["u_first"] == compute_u(oracle, first, TOL).u
+            assert record["u_second"] == compute_u(oracle, second, TOL).u
+            assert record["weak_first_second"] == oracle.weak_prefers(first, second)
+            assert record["weak_second_first"] == oracle.weak_prefers(second, first)
