@@ -112,14 +112,14 @@ def _agreed_labels(named: Mapping[str, Sequence[str] | None]) -> tuple[str, ...]
 
 
 def _sampled_setup(args: argparse.Namespace) -> tuple[PreferenceSpec, PreferenceOracle, RafSampler]:
-    """Labels from ``--alts`` or the spec file, else the kind's defaults."""
+    """Labels from ``--alts`` or the spec file, else one per weight or priority entry, else five."""
     spec, file_alts = _load_spec(args.spec)
     flag = None if args.alts is None else args.alts.split(",")
     labels = _agreed_labels({"--alts": flag, f"spec file {args.spec}": file_alts})
     if labels is None:
-        if spec.kind == "additive" and spec.weights:
+        if spec.weights:
             labels = _generated_labels(len(spec.weights))
-        elif spec.kind == "lexicographic" and spec.priority:
+        elif spec.priority:
             labels = spec.priority
         else:
             labels = _generated_labels(5)

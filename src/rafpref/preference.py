@@ -48,19 +48,6 @@ KINDS = frozenset(
     {"additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"}
 )
 
-#: Each hinted kind's closed-form diagonal inverse: the level ``t`` whose
-#: constant point over ``k`` alternatives has the given key.  It is only a
-#: hint for :func:`rafpref.utility.compute_u`, so rounding is harmless;
-#: ``anti_monotone`` has none and is bisected.
-_LEVELS: dict[str, Callable[[object, int], float]] = {
-    "additive": lambda total, k: total,
-    "min": lambda worst, k: worst,
-    "geometric": lambda product, k: product ** (1.0 / k),
-    "lexicographic": lambda key, k: key[0],
-    # Below the cutoff the level is 0: membership at 0 already holds there.
-    "threshold": lambda key, k: key[1] if key[0] else 0.0,
-}
-
 _WEIGHT_SUM_TOL = 1e-12
 
 
@@ -116,16 +103,6 @@ class PreferenceSpec:
                 raise ValidationError("threshold preferences need a 'cutoff'")
             if not 0.0 < self.cutoff < 1.0:
                 raise ValidationError(f"cutoff must lie strictly inside (0, 1), got {self.cutoff!r}")
-
-    def describe(self) -> str:
-        """Canonical short name, stable across runs."""
-        if self.kind == "additive":
-            return "additive[" + ",".join(repr(w) for w in self.weights or ()) + "]"
-        if self.kind == "lexicographic":
-            return "lexicographic[" + ">".join(self.priority or ()) + "]"
-        if self.kind == "threshold":
-            return f"threshold[{self.cutoff!r}]"
-        return self.kind
 
     def to_dict(self) -> dict:
         out: dict = {"kind": self.kind}
@@ -196,52 +173,73 @@ class PreferenceOracle:
 def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle:
     """Instantiate a built-in oracle over ``alts``.
 
-    Raises :class:`ValidationError` when ``spec`` carries parameters that do
-    not fit the alternative set (wrong weight count, priority not a
-    permutation).  Every kind but ``anti_monotone`` gets a ``diagonal`` hint
-    from its closed form.
+    Each kind's branch checks ``spec`` against ``alts`` and states the
+    oracle's name (the kind, unless the branch sets one), its ``key`` and
+    its ``diagonal`` hint: the closed-form level ``t`` whose constant point
+    has the given point's key.  The hint is only a guess for
+    :func:`rafpref.utility.compute_u`, so rounding is harmless;
+    ``anti_monotone`` has none and is bisected.  Raises
+    :class:`ValidationError` when ``spec`` carries parameters that do not
+    fit the alternative set (wrong weight count, priority not a permutation).
     """
     k = len(alts)
+    name = spec.kind
     key: Callable[[Raf], object]
+    diagonal: Callable[[Raf], float] | None
     if spec.kind == "additive":
-        weights = spec.weights or ()
+        weights = spec.weights
         if len(weights) != k:
             raise ValidationError(
                 f"need {k} weights for alternatives {alts.labels}, got {len(weights)}"
             )
+        name = "additive[" + ",".join(map(repr, weights)) + "]"
 
         def key(raf: Raf, _w: tuple[float, ...] = weights) -> float:
             return sum(map(mul, _w, raf.values))
+
+        diagonal = key
 
     elif spec.kind == "min":
 
         def key(raf: Raf) -> float:
             return min(raf.values)
 
+        diagonal = key
+
     elif spec.kind == "geometric":
 
         def key(raf: Raf) -> float:
             return math.prod(raf.values)
 
+        def diagonal(raf: Raf, _e: float = 1.0 / k) -> float:
+            return math.prod(raf.values) ** _e
+
     elif spec.kind == "lexicographic":
-        priority = spec.priority or ()
+        priority = spec.priority
         if len(priority) != k or any(label not in priority for label in alts.labels):
             raise ValidationError(
                 f"priority must be a permutation of {alts.labels}, got {priority}"
             )
+        name = "lexicographic[" + ">".join(priority) + "]"
         # k >= 2, so the getter always returns a tuple.
         pick = itemgetter(*(alts.index(label) for label in priority))
 
         def key(raf: Raf, _pick: Callable = pick) -> tuple[float, ...]:
             return _pick(raf.values)
 
+        def diagonal(raf: Raf, _first: int = alts.index(priority[0])) -> float:
+            return raf.values[_first]
+
     elif spec.kind == "anti_monotone":
 
         def key(raf: Raf, _k: int = k) -> float:
             return -sum(raf.values) / _k
 
+        diagonal = None
+
     elif spec.kind == "threshold":
-        cutoff = float(spec.cutoff)  # type: ignore[arg-type]
+        cutoff = spec.cutoff
+        name = f"threshold[{cutoff!r}]"
 
         def key(raf: Raf, _k: int = k, _c: float = cutoff) -> tuple[int, float]:
             mean = sum(raf.values) / _k
@@ -249,8 +247,10 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
             # reached the cutoff and missed is judged worse than a clear miss.
             return (1, mean) if mean >= _c else (0, -mean)
 
-    else:  # pragma: no cover - PreferenceSpec already rejects unknown kinds
-        raise ValidationError(f"unknown preference kind {spec.kind!r}")
+        def diagonal(raf: Raf, _k: int = k, _c: float = cutoff) -> float:
+            # Below the cutoff the level is 0: membership at 0 already holds there.
+            mean = sum(raf.values) / _k
+            return mean if mean >= _c else 0.0
 
     # compute_u asks about the same target ``b`` on every query, so the
     # last target's key is kept.  Raf is immutable and the slot holds a strong
@@ -266,14 +266,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
             last = (b, target_key)
         return key(a) >= target_key  # type: ignore[operator]
 
-    diagonal = None
-    level = _LEVELS.get(spec.kind)
-    if level is not None:
-
-        def diagonal(raf: Raf) -> float:
-            return level(key(raf), k)
-
-    return PreferenceOracle(spec.describe(), alts, query, key=key, diagonal=diagonal)
+    return PreferenceOracle(name, alts, query, key=key, diagonal=diagonal)
 
 
 def strictly_prefers(oracle: PreferenceOracle, a: Raf, b: Raf) -> bool:

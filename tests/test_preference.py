@@ -134,30 +134,59 @@ class TestBuildOracle:
         with pytest.raises(rp.AlternativeSetMismatchError):
             oracle.weak_prefers(top(alts2), top(alts3))
 
-    def test_names_are_stable(self, alts2):
-        oracle = build_oracle(PreferenceSpec(kind="additive", weights=(0.5, 0.5)), alts2)
-        assert oracle.name == "additive[0.5,0.5]"
+    @pytest.mark.parametrize(
+        "spec, name",
+        [
+            (PreferenceSpec(kind="additive", weights=(0.5, 0.5)), "additive[0.5,0.5]"),
+            (PreferenceSpec(kind="min"), "min"),
+            (PreferenceSpec(kind="geometric"), "geometric"),
+            (PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")), "lexicographic[b>a>c]"),
+            (PreferenceSpec(kind="anti_monotone"), "anti_monotone"),
+            (PreferenceSpec(kind="threshold", cutoff=0.25), "threshold[0.25]"),
+        ],
+        ids=["additive", "min", "geometric", "lexicographic", "anti_monotone", "threshold"],
+    )
+    def test_names_are_stable(self, alts2, alts3, spec, name):
+        alts = alts2 if spec.weights else alts3
+        assert build_oracle(spec, alts).name == name
 
     @pytest.mark.parametrize(
-        "spec, hint",
+        "spec, hint, form",
         [
             (
                 PreferenceSpec(kind="additive", weights=(0.5, 0.3, 0.2)),
                 0.5 * 0.9 + 0.3 * 0.4 + 0.2 * 0.7,
+                lambda v: 0.5 * v[0] + 0.3 * v[1] + 0.2 * v[2],
             ),
-            (PreferenceSpec(kind="min"), 0.4),
-            (PreferenceSpec(kind="geometric"), (0.9 * 0.4 * 0.7) ** (1 / 3)),
-            (PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")), 0.4),
-            (PreferenceSpec(kind="threshold", cutoff=0.25), (0.9 + 0.4 + 0.7) / 3),
-            (PreferenceSpec(kind="threshold", cutoff=0.8), 0.0),  # below the cutoff
-            (PreferenceSpec(kind="anti_monotone"), None),
+            (PreferenceSpec(kind="min"), 0.4, min),
+            (
+                PreferenceSpec(kind="geometric"),
+                (0.9 * 0.4 * 0.7) ** (1 / 3),
+                lambda v: (v[0] * v[1] * v[2]) ** (1 / 3),
+            ),
+            (
+                PreferenceSpec(kind="lexicographic", priority=("b", "a", "c")),
+                0.4,
+                lambda v: v[1],
+            ),
+            (
+                PreferenceSpec(kind="threshold", cutoff=0.25),
+                (0.9 + 0.4 + 0.7) / 3,
+                lambda v: sum(v) / 3 if sum(v) / 3 >= 0.25 else 0.0,
+            ),
+            (  # below the cutoff
+                PreferenceSpec(kind="threshold", cutoff=0.8),
+                0.0,
+                lambda v: sum(v) / 3 if sum(v) / 3 >= 0.8 else 0.0,
+            ),
+            (PreferenceSpec(kind="anti_monotone"), None, None),
         ],
         ids=[
             "additive", "min", "geometric", "lexicographic",
             "threshold-above", "threshold-below", "anti_monotone",
         ],
     )
-    def test_diagonal_hint_is_the_closed_form(self, alts3, spec, hint):
+    def test_diagonal_hint_is_the_closed_form(self, alts3, spec, hint, form):
         oracle = build_oracle(spec, alts3)
         if hint is None:
             assert oracle.diagonal is None
@@ -166,6 +195,9 @@ class TestBuildOracle:
         for t in (0.0, 0.3, 0.375, 0.9, 1.0):
             level = t if spec.cutoff is None or t >= spec.cutoff else 0.0
             assert oracle.diagonal(rp.scale_top(t, alts3)) == pytest.approx(level, abs=1e-15)
+        # The hint is the closed form itself, float for float.
+        for raf in rp.RafSampler(alts3, 0).rafs(500):
+            assert oracle.diagonal(raf) == form(raf.values)
 
 
 class TestBuiltinOrders:
