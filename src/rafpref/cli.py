@@ -206,12 +206,13 @@ def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
         "(the bisection detects only diagonal violations)",
         file=sys.stderr,
     )
+    # A row holds the CSV columns only: the tolerance is stated once, in config.
+    columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
     rows = [
-        {"label": label, "values": list(raf.values), **result.to_dict()}
-        for (label, raf), result in zip(collection.pairs(), _scores(oracle, collection, args.tol))
+        dict(zip(columns, (label, list(raf.values), r.u, r.lo, r.hi, r.oracle_calls)))
+        for (label, raf), r in zip(collection.pairs(), _scores(oracle, collection, args.tol))
     ]
     header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
-    columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
     payload = {
         "command": "build-utility",
         "config": {"tol": args.tol},
