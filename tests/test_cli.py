@@ -321,19 +321,9 @@ class TestBuildUtility:
         payload = json.loads(out.read_text())
         assert [row["label"] for row in payload["rows"]] == ["all", "none", "mixed"]
         assert payload["rows"][0]["u"] == 1.0
-
-    def test_json_rows_hold_the_csv_columns(self, additive_spec, rafs_file, tmp_path):
-        # The tolerance is stated once, in config, and not again in each row.
-        base = ["build-utility", "--spec", additive_spec, "--rafs", rafs_file]
-        assert cli.main([*base, "--out", str(tmp_path / "t.csv")]) == 0
-        assert cli.main([*base, "--format", "json", "--out", str(tmp_path / "t.json")]) == 0
-        header = (tmp_path / "t.csv").read_text().splitlines()[0].split(",")
-        payload = json.loads((tmp_path / "t.json").read_text())
-        # The CSV spreads "values" over one column per alternative.
-        k = len(payload["alts"])
-        assert header[1 : 1 + k] == payload["alts"]
-        columns = [header[0], "values", *header[1 + k :]]
-        assert [sorted(row) for row in payload["rows"]] == [sorted(columns)] * 3
+        # Each row holds the CSV columns; the tolerance is stated once, in config.
+        columns = sorted(["label", "values", "u", "lo", "hi", "oracle_calls"])
+        assert [sorted(row) for row in payload["rows"]] == [columns] * 3
         assert payload["config"] == {"tol": 1e-6}
 
     def test_diagonal_violation_exits_three(self, anti_spec, rafs_file, capsys):
