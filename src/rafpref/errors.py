@@ -35,10 +35,12 @@ def _real(name: str, v: object, at: str | None = None) -> float:
     """``v`` as a plain float; bools, non-numbers, NaN and numbers beyond
     float range (a JSON integer of 400 digits, say) are rejected.
 
-    Any ``numbers.Real`` is accepted, NumPy scalars included.  Every
-    coordinate of every point is checked this way, so a plain float takes
-    the exact-type test first (an ABC ``isinstance`` costs several times
-    more), and ``at`` (a label within ``name``) is formatted only on failure.
+    Any ``numbers.Real`` is accepted, NumPy scalars included.  File points,
+    spec parameters, sequence terms and ``scale_top`` levels are checked
+    this way; sampled points and diagonal probes are built by
+    ``raf._unchecked`` and skip it.  A plain float takes the exact-type test
+    first (an ABC ``isinstance`` costs several times more), and ``at`` (a
+    label within ``name``) is formatted only on failure.
     """
     if type(v) is float and v == v:
         return v

@@ -75,22 +75,17 @@ class PerturbationSequences:
             step = 0.5 / n
         except OverflowError:
             raise ValidationError("term index is too large for a float") from None
-        at_one = set(self.at_one)
-        at_zero = set(self.at_zero)
-        tied_interior = set(self.tied_interior)
         upper_values = []
         lower_values = []
-        for label, uv, lv in zip(self.upper.alts.labels, self.upper.values, self.lower.values):
-            if label in at_one:
-                uv2, lv2 = uv, _shrink(lv, step)
-            elif label in at_zero:
-                uv2, lv2 = uv + step, lv
-            elif label in tied_interior:
-                uv2, lv2 = uv, _shrink(lv, self.interior_margin * step)
-            else:
-                uv2, lv2 = uv, lv
-            upper_values.append(uv2)
-            lower_values.append(lv2)
+        # Each coordinate's case is read from its two values, as
+        # perturbation_sequences classified it.
+        for uv, lv in zip(self.upper.values, self.lower.values):
+            if uv == lv == 0.0:
+                uv += step
+            elif uv == lv:
+                lv = _shrink(lv, step if lv == 1.0 else self.interior_margin * step)
+            upper_values.append(uv)
+            lower_values.append(lv)
         return Raf(self.upper.alts, tuple(upper_values)), Raf(self.lower.alts, tuple(lower_values))
 
 

@@ -252,19 +252,8 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
             mean = sum(raf.values) / _k
             return mean if mean >= _c else 0.0
 
-    # compute_u asks about the same target ``b`` on every query, so the
-    # last target's key is kept.  Raf is immutable and the slot holds a strong
-    # reference, so an identity match means the key is still right; the slot
-    # is one tuple, replaced whole, so a RAF is never paired with another's key.
-    last: tuple[object, object] = (None, None)
-
     def query(a: Raf, b: Raf) -> bool:
-        nonlocal last
-        target, target_key = last
-        if target is not b:
-            target_key = key(b)
-            last = (b, target_key)
-        return key(a) >= target_key  # type: ignore[operator]
+        return key(a) >= key(b)  # type: ignore[operator]
 
     return PreferenceOracle(name, alts, query, key=key, diagonal=diagonal)
 

@@ -113,7 +113,9 @@ class RafSampler:
         """A pair where the first RAF pointwise dominates the second.
 
         Each coordinate independently lands in one of four cases: tied at 1,
-        tied at 0, tied strictly inside (0, 1), or a strict gap.
+        tied at 0, tied strictly inside (0, 1), or a strict gap.  ``k`` draws
+        are read first and coordinate ``i``'s case is ``int(4 * u_i)``, exactly
+        uniform; then the values its case needs are read.
         """
         upper = []
         lower = []

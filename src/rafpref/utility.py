@@ -73,11 +73,6 @@ class UtilityResult:
         """True at the cube boundary, where the bracket has collapsed."""
         return self.lo == self.hi
 
-    def to_dict(self) -> dict:
-        # The instance dict holds exactly the fields, in order.  asdict
-        # deep-copies each value, about 20x the cost, on every scored point.
-        return dict(vars(self))
-
 
 def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
     """Locate the diagonal membership boundary in a ``2 * tol`` bracket.

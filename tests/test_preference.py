@@ -306,7 +306,8 @@ UNIT = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(min_value=0.0, max_val
 
 
 class TestQueryMemo:
-    """The built-in query keeps the last target's key; answers must not change."""
+    """Every built-in answer is ``key(a) >= key(b)``, under repeated, interleaved,
+    equal-but-distinct and reentrant queries."""
 
     @given(
         kind=st.sampled_from(sorted(SPECS)),
@@ -321,15 +322,14 @@ class TestQueryMemo:
         rafs = [Raf(alts, values) for values in pool]
         for i, j, copy in queries:
             a, b = rafs[i % len(rafs)], rafs[j % len(rafs)]
-            if copy:  # equal values, a distinct object: the memo must not care
+            if copy:  # equal values, a distinct object: the answer must not change
                 b = Raf(alts, b.values)
             assert oracle.weak_prefers(a, b) == (oracle.key(a) >= oracle.key(b))
             assert oracle.weak_prefers(b, a) == (oracle.key(b) >= oracle.key(a))
 
     def test_a_query_inside_a_key_computation(self, alts2, oracle_factory):
-        # Another thread may query while this one is computing b's key, and
-        # replace the slot in between; the slot must still never pair one RAF
-        # with another RAF's key.  Reading ``values`` runs that query here.
+        # Another query may run while this one is computing a key; neither
+        # answer may change.  Reading ``values`` runs that query here.
         oracle = oracle_factory("additive", alts2)
         low, mid = Raf(alts2, (0.2, 0.2)), Raf(alts2, (0.5, 0.5))
         interrupts = []

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import operator
@@ -441,12 +440,6 @@ class TestUtilityResult:
     def test_exact_flag(self):
         assert UtilityResult(u=1.0, lo=1.0, hi=1.0, tol=0.1, oracle_calls=2).exact
         assert not UtilityResult(u=0.5, lo=0.45, hi=0.55, tol=0.1, oracle_calls=4).exact
-
-    def test_to_dict_lists_the_fields_in_order(self, alts3, oracle_factory):
-        result = compute_u(oracle_factory("additive", alts3), Raf(alts3, (0.2, 0.5, 0.9)), TOL)
-        doc = result.to_dict()
-        assert list(doc) == [f.name for f in dataclasses.fields(UtilityResult)]
-        assert doc == dataclasses.asdict(result)
 
 
 class TestCertificate:
