@@ -135,6 +135,37 @@ class TestContract:
             assert sup_distance(upper_n, upper) <= bound
             assert sup_distance(lower_n, lower) <= bound
 
+    def test_terms_move_exactly_the_coordinates_the_partition_names(self, alts5):
+        # term reads each coordinate's case from its two values; the moved
+        # coordinates must be the ones at_one, at_zero and tied_interior list.
+        sampler = RafSampler(alts5, SEED)
+        pairs = [sampler.pointwise_dominating_pair() for _ in range(200)]
+        mixed = Raf(alts5, (1.0, 0.0, 0.4, 0.7, 0.2)), Raf(alts5, (1.0, 0.0, 0.4, 0.3, 0.2))
+        pairs.append(mixed)
+        seen = set()
+        for upper, lower in pairs:
+            seqs = perturbation_sequences(upper, lower)
+            for n in (1, 7):
+                step = 0.5 / n
+                upper_n, lower_n = seqs.term(n)
+                for label, uv, lv, uv_n, lv_n in zip(
+                    alts5.labels, upper.values, lower.values, upper_n.values, lower_n.values
+                ):
+                    if label in seqs.at_zero:
+                        seen.add("at_zero")
+                        assert (uv_n, lv_n) == (uv + step, lv)
+                    elif label in seqs.at_one:
+                        seen.add("at_one")
+                        assert uv_n == uv and lv - lv_n == pytest.approx(step)
+                    elif label in seqs.tied_interior:
+                        seen.add("tied_interior")
+                        margin = seqs.interior_margin
+                        assert uv_n == uv and lv - lv_n == pytest.approx(margin * step)
+                    else:
+                        seen.add("gap")
+                        assert (uv_n, lv_n) == (uv, lv)
+        assert seen == {"at_zero", "at_one", "tied_interior", "gap"}
+
     def test_terms_converge_to_the_pair(self, alts3):
         upper = Raf(alts3, (1.0, 0.5, 0.0))
         lower = Raf(alts3, (1.0, 0.5, 0.0))
