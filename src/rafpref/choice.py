@@ -13,9 +13,12 @@ a strict-preference cycle) and raises :class:`MenuAxiomError` with it.
 returns every item within ``2 * tol`` of the best one, the resolution the
 brackets can actually certify, with every item's utility.  Both return
 labels in menu order.  :func:`cross_validate_choice` runs both and checks
-containment: tournament winners must land inside the utility band.  The
-band may legitimately contain more (items a lexicographic-style oracle
-separates but utilities cannot): band artifacts, not failures.
+containment: tournament winners must land inside the utility band, and a
+winner outside it (an escapee) is a genuine disagreement.  The band may
+legitimately contain more (items a lexicographic-style oracle separates but
+utilities cannot): band artifacts, not failures.  It returns a JSON-ready
+record of both routes, the escapees, the band artifacts, every item's
+utility and whether the routes agreed.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from .utility import UtilityResult, compute_u
 
 __all__ = [
     "Menu",
-    "ChoiceCrossReport",
     "maximal_set",
     "choose_by_utility",
     "cross_validate_choice",
@@ -196,53 +198,28 @@ def choose_by_utility(
     return band, utilities
 
 
-@dataclass(frozen=True)
-class ChoiceCrossReport:
-    """Comparison of tournament choice against utility-band choice.
-
-    ``escaped`` lists the tournament winners outside the band, ``band_artifacts``
-    the band items the tournament did not choose, and ``utilities`` every
-    item's utility; all follow menu order.
-    """
-
-    tournament: tuple[str, ...]
-    utility_band: tuple[str, ...]
-    escaped: tuple[str, ...]
-    band_artifacts: tuple[str, ...]
-    utilities: Mapping[str, float]
-
-    @property
-    def agreed(self) -> bool:
-        """Containment holds: every tournament winner sits in the band."""
-        return not self.escaped
-
-    def to_dict(self) -> dict:
-        return {
-            "tournament": list(self.tournament),
-            "utility_band": list(self.utility_band),
-            "escaped": list(self.escaped),
-            "band_artifacts": list(self.band_artifacts),
-            "utilities": dict(self.utilities),
-            "agreed": self.agreed,
-        }
-
-
-def cross_validate_choice(oracle: PreferenceOracle, menu: Menu, tol: float) -> ChoiceCrossReport:
+def cross_validate_choice(oracle: PreferenceOracle, menu: Menu, tol: float) -> dict:
     """Run both choice routes and check the tournament sits inside the band.
 
-    Band items missing from the tournament are reported as artifacts of the
-    band's ``2 * tol`` resolution, not failures; a tournament winner outside
-    the band (an escapee) is a genuine disagreement.
+    Returns the JSON-ready record ``{"tournament", "utility_band",
+    "escaped", "band_artifacts", "utilities", "agreed"}``.  ``escaped``
+    lists the tournament winners outside the band, a genuine disagreement;
+    ``band_artifacts`` lists the band items the tournament did not choose,
+    artifacts of the band's ``2 * tol`` resolution rather than failures;
+    ``utilities`` maps every label to its utility.  The four label
+    sequences follow menu order, and ``agreed`` says that nothing escaped.
     """
     tol = _tol(tol)  # refused before the tournament asks anything
     tournament = maximal_set(oracle, menu)
     band, utilities = choose_by_utility(oracle, menu, tol)
     in_band = set(band)
     won = set(tournament)
-    return ChoiceCrossReport(
-        tournament=tournament,
-        utility_band=band,
-        escaped=tuple(label for label in tournament if label not in in_band),
-        band_artifacts=tuple(label for label in band if label not in won),
-        utilities=utilities,
-    )
+    escaped = tuple(label for label in tournament if label not in in_band)
+    return {
+        "tournament": tournament,
+        "utility_band": band,
+        "escaped": escaped,
+        "band_artifacts": tuple(label for label in band if label not in won),
+        "utilities": utilities,
+        "agreed": not escaped,
+    }

@@ -233,9 +233,9 @@ def _cmd_validate(args: argparse.Namespace) -> tuple[str, int]:
         "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "oracle": oracle.name,
-        "report": report.to_dict(),
+        "report": report,
     }
-    return _to_json(payload), 0 if not report.violations else 2
+    return _to_json(payload), 0 if not report["violations"] else 2
 
 
 def _cmd_choose(args: argparse.Namespace) -> tuple[str, int]:
@@ -247,9 +247,9 @@ def _cmd_choose(args: argparse.Namespace) -> tuple[str, int]:
         "spec": spec.to_dict(),
         "menu": menu.to_dict(),
         "oracle": oracle.name,
-        "result": report.to_dict(),
+        "result": report,
     }
-    return _to_json(payload), 0 if report.agreed else 2
+    return _to_json(payload), 0 if report["agreed"] else 2
 
 
 def _parse_list(text: str, what: str, kind: type = float) -> tuple:

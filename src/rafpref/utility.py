@@ -31,7 +31,6 @@ __all__ = [
     "UtilityResult",
     "compute_u",
     "check_certificate",
-    "RepresentationReport",
     "validate_representation",
 ]
 
@@ -177,60 +176,30 @@ def check_certificate(oracle: PreferenceOracle, raf: Raf, result: UtilityResult)
     return membership(oracle, raf, result.hi) and not membership(oracle, raf, result.lo)
 
 
-@dataclass(frozen=True)
-class RepresentationReport:
-    """Outcome counts of a sampled representation check.
-
-    Pairs whose utilities differ by more than ``2 * tol`` are classified as
-    confirmed or violated by comparing the sign of the difference with the
-    oracle's answers.  Pairs inside the band are indeterminate: the brackets
-    cannot separate them.  ``indeterminate_strict`` counts the indeterminate
-    pairs on which the oracle nevertheless expresses a strict preference,
-    the signature of an order that no single utility can represent.  Each
-    violation is a JSON-ready record of its pair: the points ``first`` and
-    ``second`` (``Raf.from_dict`` reads them back), their utilities
-    ``u_first`` and ``u_second``, and the oracle's answers
-    ``weak_first_second`` and ``weak_second_first``.
-    """
-
-    pairs_tested: int
-    confirmed: int
-    indeterminate: int
-    indeterminate_strict: int
-    violations: tuple[dict, ...]
-
-    def __post_init__(self) -> None:
-        if self.confirmed + self.indeterminate + len(self.violations) != self.pairs_tested:
-            raise ValidationError(
-                "representation report does not partition its pairs: "
-                f"{self.confirmed} + {self.indeterminate} + {len(self.violations)} "
-                f"!= {self.pairs_tested}"
-            )
-        if self.indeterminate_strict > self.indeterminate:
-            raise ValidationError(
-                "indeterminate_strict cannot exceed indeterminate: "
-                f"{self.indeterminate_strict} > {self.indeterminate}"
-            )
-
-    def to_dict(self) -> dict:
-        return {**vars(self), "violations": list(self.violations)}
-
-
 def validate_representation(
     oracle: PreferenceOracle,
     sampler: RafSampler,
     n_pairs: int,
     tol: float,
-) -> RepresentationReport:
+) -> dict:
     """Compare computed utilities with direct oracle answers on sampled pairs.
 
-    Each pair costs two utility computations plus two preference queries.  A pair is
-    confirmed when the utilities are separated by more than ``2 * tol`` and
-    the oracle's two answers match the sign of the separation exactly; any
-    mismatch is recorded as a violation, the pair's JSON-ready record (see
-    :class:`RepresentationReport`).  ``n_pairs`` may be zero, yielding an
-    empty report.  A diagonal-monotonicity failure inside a utility
-    computation propagates, with the offending pair named.
+    Each pair costs two utility computations plus two preference queries.
+    Returns the JSON-ready record ``{"pairs_tested", "confirmed",
+    "indeterminate", "indeterminate_strict", "violations"}``; each pair
+    lands in exactly one of the last three counts.  A pair whose utilities
+    differ by more than ``2 * tol`` is confirmed when the oracle's two
+    answers match the sign of the difference exactly; any mismatch is a
+    violation.  A pair inside the band is indeterminate: the brackets cannot
+    separate it.  ``indeterminate_strict`` counts the indeterminate pairs on
+    which the oracle nevertheless expresses a strict preference, the
+    signature of an order that no single utility can represent.  Each entry
+    of the ``violations`` list is a JSON-ready record of its pair: the
+    points ``first`` and ``second`` (``Raf.from_dict`` reads them back),
+    their utilities ``u_first`` and ``u_second``, and the oracle's answers
+    ``weak_first_second`` and ``weak_second_first``.  ``n_pairs`` may be
+    zero, yielding an empty record.  A diagonal-monotonicity failure inside
+    a utility computation propagates, with the offending pair named.
     """
     n_pairs = _count("n_pairs", n_pairs, 0)
     tol = _tol(tol)
@@ -261,10 +230,10 @@ def validate_representation(
                 first=a.to_dict(), second=b.to_dict(), u_first=u_a, u_second=u_b,
                 weak_first_second=weak_ab, weak_second_first=weak_ba,
             ))
-    return RepresentationReport(
-        pairs_tested=n_pairs,
-        confirmed=confirmed,
-        indeterminate=indeterminate,
-        indeterminate_strict=indeterminate_strict,
-        violations=tuple(violations),
-    )
+    return {
+        "pairs_tested": n_pairs,
+        "confirmed": confirmed,
+        "indeterminate": indeterminate,
+        "indeterminate_strict": indeterminate_strict,
+        "violations": violations,
+    }

@@ -138,8 +138,8 @@ def test_representation_equivalence():
     for kind in ("additive", "geometric"):
         oracle = _oracle(kind)
         report = rp.validate_representation(oracle, RafSampler(ALTS5, SEED), 10000, tol)
-        ok = ok and not report.violations and report.indeterminate < 100
-        details.append(f"{kind}: {len(report.violations)} viol, {report.indeterminate} indet")
+        ok = ok and not report["violations"] and report["indeterminate"] < 100
+        details.append(f"{kind}: {len(report['violations'])} viol, {report['indeterminate']} indet")
     elapsed = time.perf_counter() - start
     ok = ok and elapsed < 60.0
     _report("representation equivalence", ok, "; ".join(details) + f", {elapsed:.1f}s")
@@ -249,7 +249,7 @@ def test_choice_coherence():
                 label for label, item in menu.pairs() if oracle.key(item) >= best
             )
             report = cross_validate_choice(oracle, menu, tol)
-            if report.tournament != argmax or not report.agreed:
+            if report["tournament"] != argmax or not report["agreed"]:
                 discrepancies += 1
 
     alts2 = rp.AlternativeSet(("a", "b"))
@@ -263,9 +263,9 @@ def test_choice_coherence():
     )
     report = cross_validate_choice(lex, tied_menu, tol)
     lex_ok = (
-        report.agreed
-        and report.tournament == ("good_tail",)
-        and report.band_artifacts == ("poor_tail",)
+        report["agreed"]
+        and report["tournament"] == ("good_tail",)
+        and report["band_artifacts"] == ("poor_tail",)
     )
     _report(
         "choice coherence",

@@ -236,8 +236,8 @@ class TestCrossValidation:
                 items = tuple(sampler.raf() for _ in range(size))
                 menu = Menu(alts3, tuple(f"m{i}" for i in range(size)), items)
                 report = cross_validate_choice(oracle, menu, TOL)
-                assert report.agreed
-                assert not report.escaped
+                assert report["agreed"]
+                assert not report["escaped"]
 
     def test_lexicographic_band_artifact_is_reported(self, alts2, oracle_factory):
         # Two items tying on the top priority cannot be separated by any
@@ -245,11 +245,11 @@ class TestCrossValidation:
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
         menu = menu_of(alts2, [("good_tail", (0.5, 0.9)), ("poor_tail", (0.5, 0.1))])
         report = cross_validate_choice(oracle, menu, TOL)
-        assert report.agreed
-        assert report.tournament == ("good_tail",)
-        assert report.utility_band == ("good_tail", "poor_tail")
-        assert report.band_artifacts == ("poor_tail",)
-        assert report.escaped == ()
+        assert report["agreed"]
+        assert report["tournament"] == ("good_tail",)
+        assert report["utility_band"] == ("good_tail", "poor_tail")
+        assert report["band_artifacts"] == ("poor_tail",)
+        assert report["escaped"] == ()
 
     @pytest.mark.parametrize("tol", [0.0, 0.6, float("nan")])
     def test_a_bad_tol_is_refused_before_any_query(self, alts2, tol):
@@ -269,7 +269,7 @@ class TestCrossValidation:
         oracle = oracle_factory("additive", alts2)
         menu = menu_of(alts2, [("x", (0.4, 0.4)), ("y", (0.6, 0.6))])
         report = cross_validate_choice(oracle, menu, TOL)
-        doc = report.to_dict()
+        doc = json.loads(json.dumps(report))
         assert doc["agreed"] is True
         assert doc["tournament"] == ["y"]
         assert set(doc["utilities"]) == {"x", "y"}

@@ -7,11 +7,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import rafpref as rp
 from rafpref import (
+    Menu,
     PreferenceOracle,
     Raf,
     RafSampler,
@@ -19,6 +20,7 @@ from rafpref import (
     bottom,
     check_certificate,
     compute_u,
+    cross_validate_choice,
     membership,
     scale_top,
     top,
@@ -47,6 +49,13 @@ class FixedSampler:
 
     def raf(self):
         return self._rafs.pop(0)
+
+
+def majority(a, b):
+    """"At least as large on half the coordinates or more": reflexive,
+    connected and weakly dominant, but not transitive, so no utility
+    represents it; its diagonal utility is the median coordinate."""
+    return 2 * sum(x >= y for x, y in zip(a.values, b.values)) >= len(a.values)
 
 
 class TestMembership:
@@ -468,18 +477,18 @@ class TestValidateRepresentation:
     def test_additive_pairs_all_confirmed_or_indeterminate(self, alts5, oracle_factory):
         oracle = oracle_factory("additive", alts5)
         report = validate_representation(oracle, RafSampler(alts5, SEED), 500, TOL)
-        assert report.pairs_tested == 500
-        assert not report.violations
-        assert report.confirmed + report.indeterminate == 500
-        assert report.indeterminate_strict == 0
+        assert report["pairs_tested"] == 500
+        assert not report["violations"]
+        assert report["confirmed"] + report["indeterminate"] == 500
+        assert report["indeterminate_strict"] == 0
 
     def test_zero_pairs_yield_an_empty_report(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
         report = validate_representation(oracle, RafSampler(alts3, SEED), 0, TOL)
-        assert report.pairs_tested == 0
-        assert report.confirmed == 0
-        assert report.indeterminate == 0
-        assert not report.violations
+        assert report["pairs_tested"] == 0
+        assert report["confirmed"] == 0
+        assert report["indeterminate"] == 0
+        assert not report["violations"]
 
     def test_lexicographic_tie_pair_is_indeterminate_but_strict(self, alts2, oracle_factory):
         # Utilities cannot separate two RAFs tying on the top priority, but
@@ -488,9 +497,9 @@ class TestValidateRepresentation:
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
         sampler = FixedSampler([Raf(alts2, (0.5, 0.9)), Raf(alts2, (0.5, 0.1))])
         report = validate_representation(oracle, sampler, 1, 1e-9)
-        assert report.indeterminate == 1
-        assert report.indeterminate_strict == 1
-        assert not report.violations
+        assert report["indeterminate"] == 1
+        assert report["indeterminate_strict"] == 1
+        assert not report["violations"]
 
     def test_diagonal_failure_names_the_pair(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
@@ -509,30 +518,24 @@ class TestValidateRepresentation:
     def test_numpy_pair_count_is_a_plain_int(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
         report = validate_representation(oracle, RafSampler(alts3, SEED), np.int64(3), TOL)
-        assert type(report.pairs_tested) is int and report.pairs_tested == 3
-        assert json.loads(json.dumps(report.to_dict()))["pairs_tested"] == 3
+        assert type(report["pairs_tested"]) is int and report["pairs_tested"] == 3
+        assert json.loads(json.dumps(report))["pairs_tested"] == 3
 
     def test_report_serializes(self, alts3, oracle_factory):
         oracle = oracle_factory("geometric", alts3)
         report = validate_representation(oracle, RafSampler(alts3, SEED), 20, TOL)
-        doc = report.to_dict()
+        doc = json.loads(json.dumps(report))
         assert doc["pairs_tested"] == 20
         assert doc["violations"] == []
 
     def test_an_intransitive_oracle_records_its_violations(self, alts5):
-        # "At least as large on half the coordinates or more" is reflexive,
-        # connected and weakly dominant, but not transitive: no utility
-        # represents it, and its diagonal utility is the median coordinate.
-        def query(a, b):
-            return 2 * sum(x >= y for x, y in zip(a.values, b.values)) >= len(a.values)
-
-        oracle = PreferenceOracle("majority", alts5, query)
+        oracle = PreferenceOracle("majority", alts5, majority)
         report = validate_representation(oracle, RafSampler(alts5, SEED), 200, TOL)
-        assert report.violations
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert doc["violations"] == list(report.violations)
+        assert report["violations"]
+        doc = json.loads(json.dumps(report))
+        assert doc["violations"] == list(report["violations"])
         keys = {"first", "second", "u_first", "u_second", "weak_first_second", "weak_second_first"}
-        for record in report.violations:
+        for record in report["violations"]:
             assert set(record) == keys
             first, second = Raf.from_dict(record["first"]), Raf.from_dict(record["second"])
             assert (first.to_dict(), second.to_dict()) == (record["first"], record["second"])
@@ -540,3 +543,37 @@ class TestValidateRepresentation:
             assert record["u_second"] == compute_u(oracle, second, TOL).u
             assert record["weak_first_second"] == oracle.weak_prefers(first, second)
             assert record["weak_second_first"] == oracle.weak_prefers(second, first)
+
+    @settings(max_examples=60)
+    @given(
+        kind=st.sampled_from([*sorted(MONOTONE), "threshold", "majority"]),
+        seed=st.integers(0, 2**32),
+        tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
+        pairs=st.integers(0, 30),
+        size=st.integers(1, 8),
+    )
+    # Violations, strict indeterminate pairs, an escapee and band artifacts.
+    @example(kind="majority", seed=3, tol=0.05, pairs=30, size=8)
+    def test_records_keep_their_invariants(self, kind, seed, tol, pairs, size):
+        # Each pair lands in exactly one count, and each choice list is
+        # drawn from the route it refines.
+        if kind == "majority":
+            oracle = PreferenceOracle("majority", ALTS3, majority)
+        else:
+            spec = MONOTONE.get(kind, rp.PreferenceSpec(kind="threshold", cutoff=0.5))
+            oracle = rp.build_oracle(spec, ALTS3)
+        sampler = RafSampler(ALTS3, seed)
+        report = validate_representation(oracle, sampler, pairs, tol)
+        counted = report["confirmed"] + report["indeterminate"] + len(report["violations"])
+        assert counted == report["pairs_tested"] == pairs
+        assert report["indeterminate_strict"] <= report["indeterminate"]
+
+        menu = Menu(ALTS3, tuple(f"m{i}" for i in range(size)), tuple(sampler.rafs(size)))
+        try:
+            choice = cross_validate_choice(oracle, menu, tol)
+        except rp.MenuAxiomError:
+            assert kind == "majority"
+            return
+        assert choice["agreed"] == (choice["escaped"] == ())
+        assert set(choice["escaped"]) <= set(choice["tournament"])
+        assert set(choice["band_artifacts"]) <= set(choice["utility_band"])
