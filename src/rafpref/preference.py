@@ -90,10 +90,10 @@ class PreferenceSpec:
                 raise ValidationError("additive preferences need a 'weights' list")
             if any(w <= 0.0 for w in self.weights):
                 raise ValidationError("additive weights must all be strictly positive")
-            if abs(sum(self.weights) - 1.0) > _WEIGHT_SUM_TOL:
+            total = math.fsum(self.weights)
+            if abs(total - 1.0) > _WEIGHT_SUM_TOL:
                 raise ValidationError(
-                    f"additive weights must sum to 1 (within {_WEIGHT_SUM_TOL}), "
-                    f"got {sum(self.weights)!r}"
+                    f"additive weights must sum to 1 (within {_WEIGHT_SUM_TOL}), got {total!r}"
                 )
         elif self.kind == "lexicographic":
             if not self.priority:
@@ -178,7 +178,9 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
     its ``diagonal`` hint: the closed-form level ``t`` whose constant point
     has the given point's key.  The hint is only a guess for
     :func:`rafpref.utility.compute_u`, so rounding is harmless;
-    ``anti_monotone`` has none and is bisected.  Raises
+    ``anti_monotone`` has none and is bisected.  Every sum in a key or a
+    hint is :func:`math.fsum`'s, correctly rounded, so a key has the same
+    bits on every Python version (``sum()`` compensates since 3.12).  Raises
     :class:`ValidationError` when ``spec`` carries parameters that do not
     fit the alternative set (wrong weight count, priority not a permutation).
     """
@@ -195,7 +197,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
         name = "additive[" + ",".join(map(repr, weights)) + "]"
 
         def key(raf: Raf, _w: tuple[float, ...] = weights) -> float:
-            return sum(map(mul, _w, raf.values))
+            return math.fsum(map(mul, _w, raf.values))
 
         diagonal = key
 
@@ -233,7 +235,7 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
     elif spec.kind == "anti_monotone":
 
         def key(raf: Raf, _k: int = k) -> float:
-            return -sum(raf.values) / _k
+            return -math.fsum(raf.values) / _k
 
         diagonal = None
 
@@ -242,14 +244,14 @@ def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle
         name = f"threshold[{cutoff!r}]"
 
         def key(raf: Raf, _k: int = k, _c: float = cutoff) -> tuple[int, float]:
-            mean = sum(raf.values) / _k
+            mean = math.fsum(raf.values) / _k
             # Below the aspiration level the order reverses: having almost
             # reached the cutoff and missed is judged worse than a clear miss.
             return (1, mean) if mean >= _c else (0, -mean)
 
         def diagonal(raf: Raf, _k: int = k, _c: float = cutoff) -> float:
             # Below the cutoff the level is 0: membership at 0 already holds there.
-            mean = sum(raf.values) / _k
+            mean = math.fsum(raf.values) / _k
             return mean if mean >= _c else 0.0
 
     def query(a: Raf, b: Raf) -> bool:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -156,9 +157,7 @@ class TestBuildOracle:
             (
                 PreferenceSpec(kind="additive", weights=(0.5, 0.3, 0.2)),
                 0.5 * 0.9 + 0.3 * 0.4 + 0.2 * 0.7,
-                # sum(), not chained +: since Python 3.12 sum() adds floats
-                # with compensation, so the two can differ in the last bit.
-                lambda v: sum([0.5 * v[0], 0.3 * v[1], 0.2 * v[2]]),
+                lambda v: math.fsum([0.5 * v[0], 0.3 * v[1], 0.2 * v[2]]),
             ),
             (PreferenceSpec(kind="min"), 0.4, min),
             (
@@ -174,12 +173,12 @@ class TestBuildOracle:
             (
                 PreferenceSpec(kind="threshold", cutoff=0.25),
                 (0.9 + 0.4 + 0.7) / 3,
-                lambda v: sum(v) / 3 if sum(v) / 3 >= 0.25 else 0.0,
+                lambda v: math.fsum(v) / 3 if math.fsum(v) / 3 >= 0.25 else 0.0,
             ),
             (  # below the cutoff
                 PreferenceSpec(kind="threshold", cutoff=0.8),
                 0.0,
-                lambda v: sum(v) / 3 if sum(v) / 3 >= 0.8 else 0.0,
+                lambda v: math.fsum(v) / 3 if math.fsum(v) / 3 >= 0.8 else 0.0,
             ),
             (PreferenceSpec(kind="anti_monotone"), None, None),
         ],
@@ -366,14 +365,20 @@ def additive_weights(draw, k):
 
 
 def reference_key(spec, alts, values):
-    """The keys as first written, with Python-level loops."""
+    """The keys written from their definitions, with Python-level loops and
+    correctly rounded sums."""
     if spec.kind == "additive":
-        return sum(w * v for w, v in zip(spec.weights, values))
+        return math.fsum(w * v for w, v in zip(spec.weights, values))
     if spec.kind == "geometric":
         out = 1.0
         for v in values:
             out *= v
         return out
+    if spec.kind == "anti_monotone":
+        return -math.fsum(values) / len(values)
+    if spec.kind == "threshold":
+        mean = math.fsum(values) / len(values)
+        return (1, mean) if mean >= spec.cutoff else (0, -mean)
     order = tuple(alts.index(label) for label in spec.priority)
     return tuple(values[i] for i in order)
 
@@ -391,6 +396,8 @@ class TestKeyFormulas:
             PreferenceSpec(kind="additive", weights=data.draw(additive_weights(k))),
             PreferenceSpec(kind="geometric"),
             PreferenceSpec(kind="lexicographic", priority=data.draw(st.permutations(alts.labels))),
+            PreferenceSpec(kind="anti_monotone"),
+            PreferenceSpec(kind="threshold", cutoff=data.draw(st.sampled_from([0.25, 0.5, 0.75]))),
         ]
         for spec in specs:
             key = build_oracle(spec, alts).key(raf)
