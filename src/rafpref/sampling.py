@@ -11,8 +11,6 @@ to treat separately.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .errors import ValidationError, _count
 from .raf import AlternativeSet, Raf, _unchecked
 
@@ -52,6 +50,9 @@ class RafSampler:
         self.alts = alts
         self.seed = _count("seed", seed, 0)
         self._k = len(alts)
+        # Imported here, so a command that never samples does not load numpy.
+        import numpy as np
+
         self._rng = np.random.default_rng(self.seed)
         self._buffer: tuple[float, ...] = ()
         self._next = 0

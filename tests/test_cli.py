@@ -398,6 +398,25 @@ class TestChoose:
         assert payload["oracle"] == "additive[0.5,0.5]"
         assert not {"oracle", "seed", "tol"} & set(payload["result"])
 
+    def test_only_commands_that_sample_import_numpy(self, additive_spec, menu_file, tmp_path):
+        src = Path(rp.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        code = (
+            "import sys; from rafpref import cli; "
+            "print(cli.main(sys.argv[1:]), 'numpy' in sys.modules)"
+        )
+        out = str(tmp_path / "report.json")
+        for argv, loaded in (
+            (["choose", "--spec", additive_spec, "--menu", menu_file], False),
+            (["validate", "--spec", additive_spec, "--pairs", "2"], True),
+        ):
+            proc = subprocess.run(
+                [sys.executable, "-c", code, *argv, "--out", out],
+                capture_output=True, text=True, env=env, cwd=tmp_path, timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stdout == f"0 {loaded}\n", argv[0]
+
     def test_lexicographic_band_artifact(self, tmp_path):
         spec = write_json(
             tmp_path / "lex.json", {"kind": "lexicographic", "priority": ["a", "b"]}
