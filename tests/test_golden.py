@@ -141,8 +141,9 @@ def test_cases_in_one_process_share_the_parser(tmp_path):
 
 
 def compensated_sum(iterable, /, start=0):
-    """``sum()`` as Python 3.12 and later compute it: floats are added with
-    Neumaier's compensation, machine-size ints exactly, anything else by ``+``."""
+    """``sum()`` as Python 3.12 and later compute it: once the total is a
+    float, floats are added with Neumaier's compensation and ints as floats;
+    anything else is added by ``+``."""
     items = iter(iterable)
     total = start
     if type(total) is not float:
@@ -158,7 +159,7 @@ def compensated_sum(iterable, /, start=0):
             t = total + item
             carry += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
             total = t
-        elif isinstance(item, int) and -(2**63) <= item < 2**63:
+        elif isinstance(item, int):
             total += float(item)
         else:
             if carry and math.isfinite(carry):
