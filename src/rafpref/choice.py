@@ -31,7 +31,7 @@ from .errors import (
 )
 from .preference import PreferenceOracle
 from .raf import AlternativeSet, Raf
-from .utility import UtilityResult, compute_u
+from .utility import compute_u
 
 __all__ = [
     "Menu",
@@ -177,7 +177,7 @@ def maximal_set(oracle: PreferenceOracle, menu: Menu) -> tuple[str, ...]:
     return tuple(chosen)
 
 
-def _scores(oracle: PreferenceOracle, menu: Menu, tol: float) -> list[UtilityResult]:
+def _scores(oracle: PreferenceOracle, menu: Menu, tol: float) -> list[dict]:
     """:func:`compute_u` of each item in menu order; a bisection failure names its item."""
     results = []
     for label, item in menu.pairs():
@@ -192,7 +192,7 @@ def choose_by_utility(
     oracle: PreferenceOracle, menu: Menu, tol: float
 ) -> tuple[tuple[str, ...], dict[str, float]]:
     """Labels within ``2 * tol`` of the menu's best utility, and every item's utility."""
-    utilities = {label: r.u for label, r in zip(menu.labels, _scores(oracle, menu, tol))}
+    utilities = {label: r["u"] for label, r in zip(menu.labels, _scores(oracle, menu, tol))}
     best = max(utilities.values())
     band = tuple(label for label in menu.labels if utilities[label] >= best - 2.0 * tol)
     return band, utilities

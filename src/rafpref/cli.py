@@ -209,8 +209,8 @@ def _cmd_build_utility(args: argparse.Namespace) -> tuple[str, int]:
     # A row holds the CSV columns only: the tolerance is stated once, in config.
     columns = ("label", "values", "u", "lo", "hi", "oracle_calls")
     rows = [
-        dict(zip(columns, (label, list(raf.values), r.u, r.lo, r.hi, r.oracle_calls)))
-        for (label, raf), r in zip(collection.pairs(), _scores(oracle, collection, args.tol))
+        {"label": label, "values": list(raf.values), **record}
+        for (label, raf), record in zip(collection.pairs(), _scores(oracle, collection, args.tol))
     ]
     header = ["label", *collection.alts.labels, "u", "lo", "hi", "oracle_calls"]
     payload = {

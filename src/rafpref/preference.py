@@ -90,7 +90,10 @@ class PreferenceSpec:
                 raise ValidationError("additive preferences need a 'weights' list")
             if any(w <= 0.0 for w in self.weights):
                 raise ValidationError("additive weights must all be strictly positive")
-            total = math.fsum(self.weights)
+            try:
+                total = math.fsum(self.weights)
+            except OverflowError:  # the sum passes the float range
+                total = math.inf
             if abs(total - 1.0) > _WEIGHT_SUM_TOL:
                 raise ValidationError(
                     f"additive weights must sum to 1 (within {_WEIGHT_SUM_TOL}), got {total!r}"

@@ -19,7 +19,6 @@ reproduce the oracle's answers on sampled pairs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
 from .preference import PreferenceOracle
@@ -28,7 +27,6 @@ from .sampling import RafSampler
 
 __all__ = [
     "membership",
-    "UtilityResult",
     "compute_u",
     "check_certificate",
     "validate_representation",
@@ -40,41 +38,15 @@ def membership(oracle: PreferenceOracle, raf: Raf, t: float) -> bool:
     return oracle.weak_prefers(scale_top(t, oracle.alts), raf)
 
 
-@dataclass(frozen=True)
-class UtilityResult:
-    """A utility value together with the bracket that certifies it.
-
-    ``membership`` held at ``hi`` and failed at ``lo`` when the result was
-    produced (except at an exact boundary, where ``lo == hi``), ``u`` is the
-    bracket midpoint and the bracket is no wider than ``2 * tol``.
-    """
-
-    u: float
-    lo: float
-    hi: float
-    tol: float
-    oracle_calls: int
-
-    def __post_init__(self) -> None:
-        _tol(self.tol)
-        if not 0.0 <= self.lo <= self.hi <= 1.0:
-            raise ValidationError(f"bracket out of order: lo={self.lo!r}, hi={self.hi!r}")
-        if self.u != 0.5 * (self.lo + self.hi):
-            raise ValidationError(f"u={self.u!r} is not the midpoint of [{self.lo!r}, {self.hi!r}]")
-        if self.hi - self.lo > 2.0 * self.tol:
-            raise ValidationError(
-                f"bracket wider than 2*tol: {self.hi - self.lo!r} > {2.0 * self.tol!r}"
-            )
-        _count("oracle_calls", self.oracle_calls, 0)
-
-    @property
-    def exact(self) -> bool:
-        """True at the cube boundary, where the bracket has collapsed."""
-        return self.lo == self.hi
-
-
-def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
+def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
     """Locate the diagonal membership boundary in a ``2 * tol`` bracket.
+
+    Returns the JSON-ready record ``{"u", "lo", "hi", "oracle_calls"}``.
+    The bracket keeps ``0 <= lo <= hi <= 1``: membership held at ``hi``
+    and failed at ``lo`` when it was produced, except at an exact
+    boundary, where ``lo == hi``.  ``u`` is the bracket's midpoint, the
+    bracket is no wider than ``2 * tol``, and ``oracle_calls`` is the int
+    count of membership queries asked.
 
     Both ends of the ray are probed first.  If level 0 is already a member
     the answer is exactly 0; if the target is the all-ones RAF the answer is
@@ -135,9 +107,9 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
             t_nonmember=1.0,
         )
     if member_at_zero:
-        return UtilityResult(u=0.0, lo=0.0, hi=0.0, tol=tol, oracle_calls=calls)
+        return {"u": 0.0, "lo": 0.0, "hi": 0.0, "oracle_calls": calls}
     if all(v == 1.0 for v in raf.values):
-        return UtilityResult(u=1.0, lo=1.0, hi=1.0, tol=tol, oracle_calls=calls)
+        return {"u": 1.0, "lo": 1.0, "hi": 1.0, "oracle_calls": calls}
 
     width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
     hint = None if oracle.diagonal is None else oracle.diagonal(raf)
@@ -159,21 +131,25 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> UtilityResult:
             hi = mid
         else:
             lo = mid
-    return UtilityResult(u=0.5 * (lo + hi), lo=lo, hi=hi, tol=tol, oracle_calls=calls)
+    return {"u": 0.5 * (lo + hi), "lo": lo, "hi": hi, "oracle_calls": calls}
 
 
-def check_certificate(oracle: PreferenceOracle, raf: Raf, result: UtilityResult) -> bool:
-    """Re-query the bracket endpoints of a previously computed result.
+def check_certificate(oracle: PreferenceOracle, raf: Raf, result: dict) -> bool:
+    """Re-query the bracket endpoints of a record :func:`compute_u` returned.
 
     Returns ``True`` when membership still holds at ``hi`` and still fails
     at ``lo``; for an exact boundary result the collapsed bracket must sit at
     a cube corner and membership must hold at it.  A ``False`` answer means
-    the oracle no longer stands behind the certificate.
+    the oracle no longer stands behind the certificate.  A bracket outside
+    ``0 <= lo <= hi <= 1``, NaN included, raises :class:`ValidationError`
+    before any query is asked.
     """
-    if result.lo == result.hi:
-        at_boundary = result.lo == 0.0 or result.hi == 1.0
-        return at_boundary and membership(oracle, raf, result.hi)
-    return membership(oracle, raf, result.hi) and not membership(oracle, raf, result.lo)
+    lo, hi = result["lo"], result["hi"]
+    if not 0.0 <= lo <= hi <= 1.0:
+        raise ValidationError(f"bracket out of order: lo={lo!r}, hi={hi!r}")
+    if lo == hi:
+        return (lo == 0.0 or hi == 1.0) and membership(oracle, raf, hi)
+    return membership(oracle, raf, hi) and not membership(oracle, raf, lo)
 
 
 def validate_representation(
@@ -210,8 +186,8 @@ def validate_representation(
     for _ in range(n_pairs):
         a, b = sampler.raf(), sampler.raf()
         try:
-            u_a = compute_u(oracle, a, tol).u
-            u_b = compute_u(oracle, b, tol).u
+            u_a = compute_u(oracle, a, tol)["u"]
+            u_b = compute_u(oracle, b, tol)["u"]
         except DiagonalMonotonicityError as exc:
             context = f"raised while validating the pair {a.to_dict()} vs {b.to_dict()}"
             raise exc.in_context(context) from exc

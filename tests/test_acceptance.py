@@ -80,7 +80,7 @@ def test_closed_form_agreement():
         oracle = _oracle(kind)
         sampler = RafSampler(ALTS5, SEED)
         for raf in sampler.rafs(1000):
-            gap = abs(compute_u(oracle, raf, tol).u - closed(raf))
+            gap = abs(compute_u(oracle, raf, tol)["u"] - closed(raf))
             worst = max(worst, gap)
     elapsed = time.perf_counter() - start
     _report(
@@ -100,11 +100,11 @@ def test_boundary_exactness():
         oracle = _oracle(kind)
         at_top = compute_u(oracle, top(ALTS5), tol)
         at_bottom = compute_u(oracle, bottom(ALTS5), tol)
-        ok = ok and at_top.u == 1.0 and at_top.lo == at_top.hi == 1.0
-        ok = ok and at_bottom.u == 0.0 and at_bottom.lo == at_bottom.hi == 0.0
+        ok = ok and at_top["u"] == 1.0 and at_top["lo"] == at_top["hi"] == 1.0
+        ok = ok and at_bottom["u"] == 0.0 and at_bottom["lo"] == at_bottom["hi"] == 0.0
         for i in range(101):
             t = i / 100.0
-            gap = abs(compute_u(oracle, scale_top(t, ALTS5), tol).u - t)
+            gap = abs(compute_u(oracle, scale_top(t, ALTS5), tol)["u"] - t)
             worst = max(worst, gap)
     _report(
         "boundary exactness",
@@ -175,14 +175,14 @@ def test_query_budget():
         oracle = _oracle(kind)
         sampler = RafSampler(ALTS5, SEED)
         for raf in sampler.rafs(1000):
-            worst = max(worst, compute_u(oracle, raf, tol).oracle_calls)
+            worst = max(worst, compute_u(oracle, raf, tol)["oracle_calls"])
     for kind in DOMINANT_KINDS:
         oracle = _oracle(kind)
         for i in range(101):
             result = compute_u(oracle, scale_top(i / 100.0, ALTS5), tol)
-            worst = max(worst, result.oracle_calls)
-        worst = max(worst, compute_u(oracle, top(ALTS5), tol).oracle_calls)
-        worst = max(worst, compute_u(oracle, bottom(ALTS5), tol).oracle_calls)
+            worst = max(worst, result["oracle_calls"])
+        worst = max(worst, compute_u(oracle, top(ALTS5), tol)["oracle_calls"])
+        worst = max(worst, compute_u(oracle, bottom(ALTS5), tol)["oracle_calls"])
     _report("query budget", worst <= budget, f"worst {worst} of {budget}")
 
 

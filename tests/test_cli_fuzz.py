@@ -30,7 +30,9 @@ LABELS = st.sampled_from(["a", "b", "c", "", "x0"])
 UNITS = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0))
 NUMBERS = st.one_of(
     UNITS,
-    st.sampled_from([-0.5, 1.5, math.nan, math.inf, -math.inf, BIG, -BIG, 2, True, None, "0.5"]),
+    st.sampled_from(
+        [-0.5, 1.5, math.nan, math.inf, -math.inf, 1e308, BIG, -BIG, 2, True, None, "0.5"]
+    ),
 )
 VALUES = st.one_of(
     NUMBERS,
@@ -184,6 +186,8 @@ def run(argv: list[str]) -> int:
          ("check-axioms", "--depth", "0"))
 @example('{"kind": "min"}', "[" * 100_000 + "]" * 100_000, ("1,1", "0,0"), "1", None, "csv",
          ("choose", "--tol", "-0.0"))
+@example('{"kind": "additive", "weights": [1e308, 1e308]}', MENU_BIG, ("1,1", "0,0"), "1", None,
+         "json", ("build-utility", "--tol", "x"))
 def test_every_subcommand_ends_in_an_exit_code(spec, points, pair, terms, alts, fmt, bad):
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, points_path = Path(tmp) / "spec.json", Path(tmp) / "points.json"

@@ -75,6 +75,11 @@ class TestPreferenceSpec:
         with pytest.raises(rp.ValidationError, match="sum to 1"):
             PreferenceSpec(kind="additive", weights=(0.5, 0.6))
 
+    def test_weights_whose_sum_overflows_are_refused(self):
+        # Each weight is finite, but math.fsum raises OverflowError on their sum.
+        with pytest.raises(rp.ValidationError, match="sum to 1.*got inf"):
+            PreferenceSpec(kind="additive", weights=(1e308, 1e308))
+
     def test_weights_sum_tolerance_is_tight(self):
         # A third three times misses 1.0 by an ulp or so; that must pass.
         PreferenceSpec(kind="additive", weights=(1 / 3, 1 / 3, 1 / 3))

@@ -16,7 +16,6 @@ from rafpref import (
     PreferenceOracle,
     Raf,
     RafSampler,
-    UtilityResult,
     bottom,
     check_certificate,
     compute_u,
@@ -83,37 +82,37 @@ class TestComputeU:
         oracle = oracle_factory("additive", alts3)
         raf = Raf(alts3, (0.9, 0.5, 0.1))
         result = compute_u(oracle, raf, TOL)
-        assert result.u == pytest.approx(0.5, abs=TOL)
+        assert result["u"] == pytest.approx(0.5, abs=TOL)
 
     def test_min_matches_the_worst_coordinate(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
         raf = Raf(alts3, (0.9, 0.5, 0.1))
         result = compute_u(oracle, raf, TOL)
-        assert result.u == pytest.approx(0.1, abs=TOL)
+        assert result["u"] == pytest.approx(0.1, abs=TOL)
 
     def test_geometric_matches_the_geometric_mean(self, alts2, oracle_factory):
         oracle = oracle_factory("geometric", alts2)
         raf = Raf(alts2, (0.25, 1.0))
         result = compute_u(oracle, raf, TOL)
-        assert result.u == pytest.approx(0.5, abs=TOL)
+        assert result["u"] == pytest.approx(0.5, abs=TOL)
 
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
     def test_boundaries_are_exact(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
         at_top = compute_u(oracle, top(alts3), TOL)
-        assert at_top.u == 1.0 and at_top.lo == 1.0 and at_top.hi == 1.0
+        assert at_top["u"] == 1.0 and at_top["lo"] == 1.0 and at_top["hi"] == 1.0
         at_bottom = compute_u(oracle, bottom(alts3), TOL)
-        assert at_bottom.u == 0.0 and at_bottom.lo == 0.0 and at_bottom.hi == 0.0
-        assert at_bottom.oracle_calls == 2
+        assert at_bottom["u"] == 0.0 and at_bottom["lo"] == 0.0 and at_bottom["hi"] == 0.0
+        assert at_bottom["oracle_calls"] == 2
 
     def test_bracket_certifies_the_result(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
         raf = Raf(alts3, (0.8, 0.2, 0.5))
         result = compute_u(oracle, raf, TOL)
-        assert result.hi - result.lo <= 2.0 * TOL
-        assert result.u == 0.5 * (result.lo + result.hi)
-        assert membership(oracle, raf, result.hi)
-        assert not membership(oracle, raf, result.lo)
+        assert result["hi"] - result["lo"] <= 2.0 * TOL
+        assert result["u"] == 0.5 * (result["lo"] + result["hi"])
+        assert membership(oracle, raf, result["hi"])
+        assert not membership(oracle, raf, result["lo"])
 
     @pytest.mark.parametrize("tol", [1e-3, 1e-6, 1e-9])
     def test_call_budget(self, alts5, oracle_factory, tol):
@@ -121,7 +120,7 @@ class TestComputeU:
         sampler = RafSampler(alts5, SEED)
         for _ in range(25):
             result = compute_u(oracle, sampler.raf(), tol)
-            assert result.oracle_calls <= call_budget(tol)
+            assert result["oracle_calls"] <= call_budget(tol)
 
     def test_tolerance_validation(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
@@ -132,8 +131,8 @@ class TestComputeU:
     def test_wide_tolerance_yields_the_trivial_bracket(self, alts3, oracle_factory):
         oracle = hintless(oracle_factory("additive", alts3))
         result = compute_u(oracle, Raf(alts3, (0.9, 0.5, 0.1)), 0.5)
-        assert (result.lo, result.hi, result.u) == (0.0, 1.0, 0.5)
-        assert result.oracle_calls == 2
+        assert (result["lo"], result["hi"], result["u"]) == (0.0, 1.0, 0.5)
+        assert result["oracle_calls"] == 2
 
     def test_anti_monotone_raises_with_the_probed_parameters(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
@@ -155,7 +154,7 @@ class TestComputeU:
     def test_indifferent_everywhere_collapses_to_zero(self, alts3):
         oracle = PreferenceOracle("flat", alts3, lambda a, b: True)
         result = compute_u(oracle, Raf(alts3, (0.3, 0.6, 0.9)), TOL)
-        assert result.u == 0.0 and result.exact
+        assert result["u"] == 0.0 and result["lo"] == result["hi"]
 
     def test_diagonal_membership_is_an_up_set(self, alts5, oracle_factory):
         sampler = RafSampler(alts5, SEED)
@@ -173,8 +172,8 @@ class TestComputeU:
             oracle = oracle_factory(kind, alts5)
             for _ in range(50):
                 upper, lower = sampler.pointwise_dominating_pair()
-                u_upper = compute_u(oracle, upper, TOL).u
-                u_lower = compute_u(oracle, lower, TOL).u
+                u_upper = compute_u(oracle, upper, TOL)["u"]
+                u_lower = compute_u(oracle, lower, TOL)["u"]
                 assert u_upper + 2.0 * TOL >= u_lower
 
 
@@ -199,24 +198,32 @@ class TestTolContract:
         tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
         values=st.tuples(COORDINATE, COORDINATE, COORDINATE),
         kind=st.sampled_from(sorted(MONOTONE)),
+        hinted=st.booleans(),
     )
-    @example(tol=TOL_FLOOR, values=(1.0, 1.0, 1.0), kind="min")
-    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE,) * 3, kind="min")
-    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE, 1.0, 1.0), kind="additive")
-    @example(tol=TOL_FLOOR, values=(0.99999, 1.0, 1.0), kind="min")
-    def test_bracket_and_budget_hold(self, tol, values, kind):
+    @example(tol=TOL_FLOOR, values=(1.0, 1.0, 1.0), kind="min", hinted=True)
+    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE,) * 3, kind="min", hinted=True)
+    @example(tol=TOL_FLOOR, values=(ONE_ULP_BELOW_ONE, 1.0, 1.0), kind="additive", hinted=True)
+    @example(tol=TOL_FLOOR, values=(0.99999, 1.0, 1.0), kind="min", hinted=True)
+    def test_bracket_and_budget_hold(self, tol, values, kind, hinted):
+        # Without its hint the oracle is bisected, so both paths are drawn.
         oracle = rp.build_oracle(MONOTONE[kind], ALTS3)
+        if not hinted:
+            hintless(oracle)
         raf = Raf(ALTS3, values)
         result = compute_u(oracle, raf, tol)
-        assert result.hi - result.lo <= 2.0 * tol
-        assert result.oracle_calls <= call_budget(tol)
+        assert set(result) == {"u", "lo", "hi", "oracle_calls"}
+        assert 0.0 <= result["lo"] <= result["hi"] <= 1.0
+        assert result["u"] == 0.5 * (result["lo"] + result["hi"])
+        assert result["hi"] - result["lo"] <= 2.0 * tol
+        assert type(result["oracle_calls"]) is int
+        assert result["oracle_calls"] <= call_budget(tol)
         assert check_certificate(oracle, raf, result)
 
     def test_the_floor_uses_55_of_56_queries(self):
         oracle = hintless(rp.build_oracle(MONOTONE["min"], ALTS3))
         result = compute_u(oracle, Raf(ALTS3, (0.99999, 1.0, 1.0)), TOL_FLOOR)
-        assert (result.oracle_calls, call_budget(TOL_FLOOR)) == (55, 56)
-        assert result.lo < 0.99999 <= result.hi
+        assert (result["oracle_calls"], call_budget(TOL_FLOOR)) == (55, 56)
+        assert result["lo"] < 0.99999 <= result["hi"]
 
     @pytest.mark.parametrize("tol", [math.nextafter(TOL_FLOOR, 0.0), 1e-17, 5e-324])
     def test_a_finer_tol_is_refused_before_any_query(self, tol):
@@ -281,7 +288,7 @@ class TestQueryCount:
         oracle = self.oracle(BISECTING[kind], alts5)
         raf = Raf(alts5, POINTS[point])
         result, counted = counted_probes(monkeypatch, oracle, raf, tol)
-        assert len(counted) == result.oracle_calls <= call_budget(tol)
+        assert len(counted) == result["oracle_calls"] <= call_budget(tol)
         for probe, target in counted:
             assert target is raf
             assert probe == scale_top(probe.values[0], alts5)
@@ -313,8 +320,8 @@ def up_set(level: float, closed: bool, hint: float | None) -> PreferenceOracle:
     )
 
 
-def bracket(result: UtilityResult) -> tuple[float, float, float]:
-    return result.u, result.lo, result.hi
+def bracket(result: dict) -> tuple[float, float, float]:
+    return result["u"], result["lo"], result["hi"]
 
 
 class TestHintedCell:
@@ -336,7 +343,7 @@ class TestHintedCell:
         hinted = compute_u(rp.build_oracle(HINTED[kind], ALTS3), raf, tol)
         plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
         assert bracket(hinted) == bracket(plain)
-        assert hinted.oracle_calls <= call_budget(tol)
+        assert hinted["oracle_calls"] <= call_budget(tol)
 
     @pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
     @pytest.mark.parametrize("scale", [0.5, 0.7], ids=["power-of-two", "not"])
@@ -361,11 +368,11 @@ class TestHintedCell:
                     oracle = up_set(level, closed, (cell - 0.5) * width)
                     result = compute_u(oracle, INSIDE, tol)
                     assert bracket(result) == bracket(plain), (level, cell)
-                    assert result.oracle_calls <= call_budget(tol), (level, cell)
-                    assert result.oracle_calls <= plain.oracle_calls + 1, (level, cell)
-                    if cell * width == plain.hi:  # the right cell: its inner ends only
-                        inner = sum(0.0 < end < 1.0 for end in (plain.lo, plain.hi))
-                        assert result.oracle_calls == 2 + inner, (level, cell)
+                    assert result["oracle_calls"] <= call_budget(tol), (level, cell)
+                    assert result["oracle_calls"] <= plain["oracle_calls"] + 1, (level, cell)
+                    if cell * width == plain["hi"]:  # the right cell: its inner ends only
+                        inner = sum(0.0 < end < 1.0 for end in (plain["lo"], plain["hi"]))
+                        assert result["oracle_calls"] == 2 + inner, (level, cell)
 
     @given(
         tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
@@ -388,9 +395,9 @@ class TestHintedCell:
         result = compute_u(oracle, raf, tol)
         plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
         assert bracket(result) == bracket(plain)
-        assert result.oracle_calls <= call_budget(tol)
+        assert result["oracle_calls"] <= call_budget(tol)
         if not 0.0 <= hint <= 1.0:  # no hint at all
-            assert result.oracle_calls == plain.oracle_calls
+            assert result["oracle_calls"] == plain["oracle_calls"]
 
     def test_a_contradiction_raises_with_both_levels(self, alts3):
         # Membership at 0 implies membership everywhere above it; the
@@ -431,24 +438,8 @@ class TestHintedCell:
         oracle = PreferenceOracle("coin", ALTS2, query, diagonal=lambda raf: hint)
         result = compute_u(oracle, INSIDE, tol)
         # The ends were seeded and are asked once each, like every other level.
-        assert result.oracle_calls == len(asked) <= call_budget(tol)
-        assert asked[result.hi] and not asked[result.lo]
-
-
-class TestUtilityResult:
-    def test_invariants_are_enforced(self):
-        with pytest.raises(rp.ValidationError, match="midpoint"):
-            UtilityResult(u=0.4, lo=0.5, hi=0.6, tol=0.1, oracle_calls=3)
-        with pytest.raises(rp.ValidationError, match="out of order"):
-            UtilityResult(u=0.5, lo=0.6, hi=0.4, tol=0.1, oracle_calls=3)
-        with pytest.raises(rp.ValidationError, match="wider"):
-            UtilityResult(u=0.5, lo=0.0, hi=1.0, tol=0.1, oracle_calls=3)
-        with pytest.raises(rp.ValidationError, match="tolerance"):
-            UtilityResult(u=0.5, lo=0.5, hi=0.5, tol=0.0, oracle_calls=3)
-
-    def test_exact_flag(self):
-        assert UtilityResult(u=1.0, lo=1.0, hi=1.0, tol=0.1, oracle_calls=2).exact
-        assert not UtilityResult(u=0.5, lo=0.45, hi=0.55, tol=0.1, oracle_calls=4).exact
+        assert result["oracle_calls"] == len(asked) <= call_budget(tol)
+        assert asked[result["hi"]] and not asked[result["lo"]]
 
 
 class TestCertificate:
@@ -471,6 +462,20 @@ class TestCertificate:
             "flipped", alts3, lambda a, b: not before.weak_prefers(a, b)
         )
         assert not check_certificate(after, raf, result)
+
+    @pytest.mark.parametrize("lo, hi", [(0.6, 0.4), (math.nan, 0.5), (-0.5, 0.5), (0.5, 1.5)])
+    def test_refuses_a_bracket_out_of_order_before_any_query(self, alts3, lo, hi):
+        calls = []
+
+        def query(a, b):
+            calls.append((a, b))
+            return min(a.values) >= min(b.values)
+
+        oracle = PreferenceOracle("counted-min", alts3, query)
+        record = {"u": 0.5, "lo": lo, "hi": hi, "oracle_calls": 3}
+        with pytest.raises(rp.ValidationError, match="out of order"):
+            check_certificate(oracle, Raf(alts3, (0.7, 0.4, 0.9)), record)
+        assert calls == []
 
 
 class TestValidateRepresentation:
@@ -539,8 +544,8 @@ class TestValidateRepresentation:
             assert set(record) == keys
             first, second = Raf.from_dict(record["first"]), Raf.from_dict(record["second"])
             assert (first.to_dict(), second.to_dict()) == (record["first"], record["second"])
-            assert record["u_first"] == compute_u(oracle, first, TOL).u
-            assert record["u_second"] == compute_u(oracle, second, TOL).u
+            assert record["u_first"] == compute_u(oracle, first, TOL)["u"]
+            assert record["u_second"] == compute_u(oracle, second, TOL)["u"]
             assert record["weak_first_second"] == oracle.weak_prefers(first, second)
             assert record["weak_second_first"] == oracle.weak_prefers(second, first)
 
