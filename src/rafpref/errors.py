@@ -118,8 +118,10 @@ class DiagonalMonotonicityError(RafPrefError, RuntimeError):
     Raised by the bisection when the full-availability point fails to be
     weakly preferred to the target, which contradicts the weak-dominance
     hypothesis the construction relies on.  ``t_member`` and ``t_nonmember``
-    hold the probed parameters that witness the failure (``t_member`` is
-    ``None`` when no member was seen before the failure).
+    hold the probed parameters that witness the failure: ``t_member`` is 0
+    if level 0 is a member, else the lowest member level of a hinted cell
+    probed before the ends, which may lie inside (0, 1), and ``None`` when
+    no member was seen before the failure.
     """
 
     def __init__(

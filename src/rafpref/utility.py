@@ -9,11 +9,12 @@ with the membership predicate, in the cell an oracle's diagonal hint names,
 else by bisection, and returns it together with the bracket that certifies
 it.
 
-Nothing here assumes the hypotheses silently.  :func:`compute_u` always probes
-both ends of the ray and raises :class:`DiagonalMonotonicityError` when the
-full-availability point fails the membership test, and
-:func:`validate_representation` measures how well the computed utilities
-reproduce the oracle's answers on sampled pairs.
+Nothing here assumes the hypotheses silently.  :func:`compute_u` probes
+both ends of the ray, unless the oracle's diagonal hint names a cell inside
+(0, 1) that the cell's own two answers certify, and raises
+:class:`DiagonalMonotonicityError` when the full-availability point fails
+the membership test; :func:`validate_representation` measures how well the
+computed utilities reproduce the oracle's answers on sampled pairs.
 """
 
 from __future__ import annotations
@@ -48,27 +49,38 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
     bracket is no wider than ``2 * tol``, and ``oracle_calls`` is the int
     count of membership queries asked.
 
-    Both ends of the ray are probed first.  If level 0 is already a member
-    the answer is exactly 0; if the target is the all-ones RAF the answer is
-    exactly 1 (membership at 1 holds by reflexivity and no interior level
-    can be certified against it).  Failure of membership at 1 contradicts
-    the weak-dominance hypothesis and raises
-    :class:`DiagonalMonotonicityError` with the probed parameters.
+    Bisection of an up-set always ends in the same dyadic cell
+    ``[(j-1)w, jw]``, where ``w`` is the largest power of two ``<= 2 * tol``.
+    When the oracle has a ``diagonal`` hint and the target is not the
+    all-ones RAF, the cell holding the hint is probed first: the end nearer
+    1/2, then the other end unless its answer follows from the first.  If
+    the cell lies inside (0, 1) and both of its ends were answered, member
+    at ``hi`` and not at ``lo``, the cell is returned after those two
+    queries; the ends of the ray are not asked.
 
-    Otherwise the bracket is the hinted cell, else bisection's.  Bisection
-    of an up-set always ends in the same dyadic cell ``[(j-1)w, jw]``, where
-    ``w`` is the largest power of two ``<= 2 * tol``.  When the oracle has a
-    ``diagonal`` hint, the cell holding it is probed first: the end nearer
-    1/2, then the other end only if the first answer agrees with the hint.
-    Two agreeing answers certify the cell.  On a miss the bisection runs
+    In every other case (no hint, a miss, a cell with an end at 0 or 1, or
+    the all-ones RAF) both ends of the ray are probed.  If level 0 is a
+    member the answer is exactly 0; if the target is the all-ones RAF the
+    answer is exactly 1 (membership at 1 holds by reflexivity and no
+    interior level can be certified against it).  Failure of membership at
+    1 contradicts the weak-dominance hypothesis and raises
+    :class:`DiagonalMonotonicityError` with the lowest member level seen, if
+    any.  Otherwise a cell touching 0 or 1 is probed now, and the bracket is
+    the hinted cell if its answers settle it, else bisection's, which runs
     from ``[0, 1]`` and skips every midpoint whose answer follows from a
-    level already probed.  So for an oracle whose membership is monotone on
-    the diagonal, ``u``, ``lo`` and ``hi`` are bisection's; for any oracle
-    the bracket's ends are answered levels, and the total number of
-    membership queries is at most ``2 + ceil(log2(1/tol))`` either way.  A
-    NaN, infinite or out-of-range hint counts as none.  Every probed level
-    is a dyadic rational that a float holds exactly, because ``tol`` is at
-    least ``2**-54``.
+    level already probed.
+
+    So for an oracle whose membership is monotone on the diagonal, ``u``,
+    ``lo`` and ``hi`` are bisection's; for any oracle the bracket's ends are
+    answered levels.  A certified interior cell costs 2 queries.  A wrong
+    hint costs at most 1 query more than bisection, or 2 more when an end
+    of the ray settles the answer (exactly 0, or the error); interior cells
+    exist only for ``tol <= 1/4``, so the total stays within
+    ``2 + ceil(log2(1/tol))`` either way.  A certified cell does not screen
+    the ray's ends: an oracle that fails membership at 1 is then given a
+    bracket, not the error.  A NaN, infinite or out-of-range hint counts as
+    none.  Every probed level is a dyadic rational that a float holds
+    exactly, because ``tol`` is at least ``2**-54``.
     """
     tol = _tol(tol)
     calls = 0
@@ -96,31 +108,45 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
         no = t
         return False
 
+    width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
+    # The all-ones point is settled by its ends alone: no hint is read for it.
+    top = all(v == 1.0 for v in raf.values)
+    hint = None if top or oracle.diagonal is None else oracle.diagonal(raf)
+    cell = None
+    if hint is not None and 0.0 <= hint <= 1.0:
+        hi = max(math.ceil(hint / width), 1) * width
+        lo = hi - width
+        cell = (lo, hi)
+        # The end nearer 1/2 goes first.  If it contradicts the hint, the
+        # other end's answer follows from it and costs nothing; if the other
+        # end does, bisection's first midpoint, 1/2, follows from that.  So a
+        # wrong hint adds at most one query to the bisection.
+        near, far = (hi, lo) if hi <= 0.5 else (lo, hi)
+        if 0.0 < lo and hi < 1.0:
+            probe(near)
+            probe(far)
+            # Certified only if both ends were answered: the starting
+            # ``no = 0`` and ``yes = 1`` are assumed, not asked.
+            if (no, yes) == cell:
+                return {"u": 0.5 * (no + yes), "lo": no, "hi": yes, "oracle_calls": calls}
+
     member_at_zero = member(0.0)
     if not member(1.0):
-        seen = f"membership(0.0)={member_at_zero}, membership(1.0)=False"
+        seen = f"membership(0.0)={member_at_zero}, "
+        if yes < 1.0:
+            seen += f"membership({yes!r})=True, "
         raise DiagonalMonotonicityError(
             "oracle violates weak dominance on the diagonal ray: full availability "
-            f"is not weakly preferred to the target ({seen})",
+            f"is not weakly preferred to the target ({seen}membership(1.0)=False)",
             raf=raf,
-            t_member=0.0 if member_at_zero else None,
+            t_member=0.0 if member_at_zero else yes if yes < 1.0 else None,
             t_nonmember=1.0,
         )
     if member_at_zero:
         return {"u": 0.0, "lo": 0.0, "hi": 0.0, "oracle_calls": calls}
-    if all(v == 1.0 for v in raf.values):
+    if top:
         return {"u": 1.0, "lo": 1.0, "hi": 1.0, "oracle_calls": calls}
-
-    width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
-    hint = None if oracle.diagonal is None else oracle.diagonal(raf)
-    if hint is not None and 0.0 <= hint <= 1.0:
-        hi = max(math.ceil(hint / width), 1) * width
-        lo = hi - width
-        # The end nearer 1/2 goes first.  If it contradicts the hint, the
-        # other end's answer follows from it and costs nothing; if the other
-        # end does, bisection's first midpoint, 1/2, follows from that.  So a
-        # wrong hint costs at most one query.
-        near, far = (hi, lo) if hi <= 0.5 else (lo, hi)
+    if cell is not None:  # a cell already probed asks nothing more
         probe(near)
         probe(far)
 

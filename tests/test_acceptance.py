@@ -14,7 +14,8 @@ executable scorecard:
     oracles are not falsified;
 8.  tournament choice sits inside the utility band and matches exact
     score argmax;
-9.  CLI reports are byte-identical across reruns.
+9.  CLI reports are byte-identical across reruns;
+10. a hinted cell inside (0, 1) costs exactly two queries.
 """
 
 from __future__ import annotations
@@ -311,3 +312,19 @@ def test_cli_determinism(tmp_path):
         rc_second = cli.main([*argv, "--out", str(second)])
         ok = ok and rc_first == rc_second == 0 and first.read_bytes() == second.read_bytes()
     _report("cli determinism", ok)
+
+
+def test_hinted_cell_costs_two_queries():
+    # Every hinted built-in kind names the right cell for each sampled point;
+    # a cell inside (0, 1) is certified by its own two ends, without asking
+    # the ends of the ray.
+    calls = set()
+    for tol in (1e-9, 1e-6):
+        width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # the cell width
+        for kind in (*DOMINANT_KINDS, "threshold"):
+            oracle = _oracle(kind)
+            for raf in RafSampler(ALTS5, SEED).rafs(1000):
+                hi = max(math.ceil(oracle.diagonal(raf) / width), 1) * width
+                if 0.0 < hi - width and hi < 1.0:
+                    calls.add(compute_u(oracle, raf, tol)["oracle_calls"])
+    _report("hinted cell", calls == {2}, f"queries per point {sorted(calls)}")

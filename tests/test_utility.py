@@ -369,10 +369,16 @@ class TestHintedCell:
                     result = compute_u(oracle, INSIDE, tol)
                     assert bracket(result) == bracket(plain), (level, cell)
                     assert result["oracle_calls"] <= call_budget(tol), (level, cell)
-                    assert result["oracle_calls"] <= plain["oracle_calls"] + 1, (level, cell)
-                    if cell * width == plain["hi"]:  # the right cell: its inner ends only
+                    # A wrong cell costs one query more than bisection, or
+                    # two when an end of the ray settles the answer.
+                    extra = 2 if plain["lo"] == plain["hi"] else 1
+                    assert result["oracle_calls"] <= plain["oracle_calls"] + extra, (level, cell)
+                    if cell * width == plain["hi"]:  # the right cell
                         inner = sum(0.0 < end < 1.0 for end in (plain["lo"], plain["hi"]))
-                        assert result["oracle_calls"] == 2 + inner, (level, cell)
+                        # Inside (0, 1) its own two ends certify it; else the
+                        # ray's ends are asked as well.
+                        expected = 2 if inner == 2 else 2 + inner
+                        assert result["oracle_calls"] == expected, (level, cell)
 
     @given(
         tol=st.floats(min_value=TOL_FLOOR, max_value=0.5),
@@ -400,19 +406,64 @@ class TestHintedCell:
             assert result["oracle_calls"] == plain["oracle_calls"]
 
     def test_a_contradiction_raises_with_both_levels(self, alts3):
-        # Membership at 0 implies membership everywhere above it; the
-        # probe at 1 contradicts that before the hint is asked for.
-        asked = []
+        # Membership at 0 implies membership everywhere above it.  The hint
+        # names a cell at 1/2 that fails, a miss, so the ends are asked, and
+        # the probe at 1 contradicts the one at 0.
+        asked, levels = [], []
+
+        def query(a, b):
+            levels.append(a.values[0])
+            return a.values[0] == 0.0
+
         oracle = PreferenceOracle(
-            "member-only-at-0",
-            alts3,
-            lambda a, b: a.values[0] == 0.0,
-            diagonal=lambda raf: asked.append(raf) or 0.5,
+            "member-only-at-0", alts3, query, diagonal=lambda raf: asked.append(raf) or 0.5
+        )
+        raf = Raf(alts3, (0.3, 0.6, 0.9))
+        with pytest.raises(rp.DiagonalMonotonicityError) as excinfo:
+            compute_u(oracle, raf, TOL)
+        assert (excinfo.value.t_member, excinfo.value.t_nonmember) == (0.0, 1.0)
+        assert asked == [raf]
+        assert levels == [0.5, 0.0, 1.0]
+
+    def test_a_hit_asks_neither_end_of_the_ray(self):
+        levels = []
+        oracle = PreferenceOracle(
+            "up-set", ALTS2, lambda a, b: levels.append(a.values[0]) or a.values[0] >= 0.3,
+            diagonal=lambda raf: 0.3,
+        )
+        tol = 2.0**-11  # cells of width 2**-10
+        result = compute_u(oracle, INSIDE, tol)
+        assert bracket(result) == bracket(compute_u(up_set(0.3, True, None), INSIDE, tol))
+        assert result["oracle_calls"] == len(levels) == 2
+        assert levels == [result["hi"], result["lo"]]  # below 1/2, the upper end first
+        assert 0.0 < result["lo"] < 0.3 <= result["hi"] < 1.0
+
+    def test_the_all_ones_point_is_exactly_one_despite_an_interior_hint(self):
+        # Indifferent above 3/4: for the all-ones point the interior cell
+        # [3/4 - w, 3/4] answers like a certified one, but level 1 is the answer.
+        def capped(raf):
+            return min(0.5 * sum(raf.values), 0.75)
+
+        oracle = PreferenceOracle(
+            "capped", ALTS2, lambda a, b: capped(a) >= capped(b), diagonal=capped
+        )
+        result = compute_u(oracle, Raf(ALTS2, (1.0, 1.0)), 2.0**-11)
+        assert result == {"u": 1.0, "lo": 1.0, "hi": 1.0, "oracle_calls": 2}
+
+    def test_a_miss_names_the_interior_member_it_saw(self):
+        # Membership holds on [1/4, 1) only.  The hinted cell below 1/2 has
+        # both ends members, a miss; level 1 then fails, and the witness is
+        # the lowest member asked, not None.
+        tol = 2.0**-11
+        below_half = 0.5 - 2.0**-10
+        oracle = PreferenceOracle(
+            "member-inside", ALTS2, lambda a, b: 0.25 <= a.values[0] < 1.0,
+            diagonal=lambda raf: 0.5,
         )
         with pytest.raises(rp.DiagonalMonotonicityError) as excinfo:
-            compute_u(oracle, Raf(alts3, (0.3, 0.6, 0.9)), TOL)
-        assert (excinfo.value.t_member, excinfo.value.t_nonmember) == (0.0, 1.0)
-        assert asked == []
+            compute_u(oracle, INSIDE, tol)
+        assert (excinfo.value.t_member, excinfo.value.t_nonmember) == (below_half, 1.0)
+        assert f"membership({below_half!r})=True" in str(excinfo.value)
 
     @given(
         seed=st.integers(0, 2**32),
@@ -425,9 +476,11 @@ class TestHintedCell:
         # no answer can contradict another, and the bracket's ends are
         # answered levels.
         asked = {0.0: False, 1.0: True}
+        queried = set()
 
         def query(a, b):
             t = a.values[0]
+            queried.add(t)
             if t not in asked:
                 yes = min(level for level, answer in asked.items() if answer)
                 no = max(level for level, answer in asked.items() if not answer)
@@ -437,8 +490,11 @@ class TestHintedCell:
 
         oracle = PreferenceOracle("coin", ALTS2, query, diagonal=lambda raf: hint)
         result = compute_u(oracle, INSIDE, tol)
-        # The ends were seeded and are asked once each, like every other level.
-        assert result["oracle_calls"] == len(asked) <= call_budget(tol)
+        # Every level is asked once.  The ends were seeded; a certified
+        # hinted cell leaves both unasked, else both are asked.
+        unasked = {0.0, 1.0} - queried
+        assert unasked in (set(), {0.0, 1.0})
+        assert result["oracle_calls"] == len(asked) - len(unasked) <= call_budget(tol)
         assert asked[result["hi"]] and not asked[result["lo"]]
 
 
