@@ -70,6 +70,26 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+def _count_flag(minimum: int):
+    """An argparse type for a count of at least ``minimum`` (0 or 1).
+
+    Argparse prefixes the error with the flag as typed, so ``--pairs 0``
+    reports ``argument --pairs: must be a positive integer, got 0``.
+    """
+    kind = "positive" if minimum else "nonnegative"
+
+    def count(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be a {kind} integer, got {value}")
+        return value
+
+    return count
+
+
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -316,6 +336,7 @@ def _build_parser() -> _Parser:
     # A literal, not the docstring: ``python -OO`` strips docstrings.
     parser = _Parser(prog="rafpref", description="Command line interface.")
     sub = parser.add_subparsers(dest="command", required=True)
+    positive, nonnegative = _count_flag(1), _count_flag(0)
 
     # Each subcommand takes only the shared flags its handler reads.
     def command(
@@ -324,7 +345,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
         if seed:
-            p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
+            p.add_argument("--seed", type=nonnegative, default=0, help="RNG seed (default 0)")
         if tol:
             p.add_argument(
                 "--tol", type=float, default=1e-6,
@@ -342,9 +363,9 @@ def _build_parser() -> _Parser:
     p = command(
         "check-axioms", _cmd_check_axioms, "screen a spec against the axioms", seed=True, alts=True
     )
-    p.add_argument("--pairs", type=int, default=1000, help="sampled pairs per axiom")
-    p.add_argument("--triples", type=int, default=1000, help="sampled triples for transitivity")
-    p.add_argument("--depth", type=int, default=100, help="sequence depth for continuity")
+    p.add_argument("--pairs", type=positive, default=1000, help="sampled pairs per axiom")
+    p.add_argument("--triples", type=positive, default=1000, help="sampled triples for transitivity")
+    p.add_argument("--depth", type=positive, default=100, help="sequence depth for continuity")
 
     p = command(
         "build-utility", _cmd_build_utility, "tabulate utilities for a RAF collection",
@@ -356,7 +377,7 @@ def _build_parser() -> _Parser:
         "validate", _cmd_validate, "check utilities against oracle answers",
         seed=True, tol=True, alts=True,
     )
-    p.add_argument("--pairs", type=int, default=1000, help="sampled pairs to compare")
+    p.add_argument("--pairs", type=nonnegative, default=1000, help="sampled pairs to compare")
 
     p = command("choose", _cmd_choose, "choose from a menu, cross-validating both routes", tol=True)
     p.add_argument("--menu", required=True, help="menu JSON file")

@@ -628,6 +628,24 @@ class TestFlags:
         assert rc == 1
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, flag, value, kind",
+        [
+            ("check-axioms", "--pairs", "0", "positive"),
+            ("check-axioms", "--triples", "0", "positive"),
+            ("check-axioms", "--depth", "0", "positive"),
+            ("check-axioms", "--seed", "-1", "nonnegative"),
+            ("validate", "--pairs", "-1", "nonnegative"),
+            ("validate", "--seed", "-1", "nonnegative"),
+        ],
+    )
+    def test_a_count_below_its_bound_names_the_flag(self, command, flag, value, kind, capsys):
+        rc = cli.main([command, *self.REQUIRED[command], flag, value])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: argument {flag}: must be a {kind} integer, got {value}\n"
+        )
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(
