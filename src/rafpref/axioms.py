@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import chain, permutations, repeat
+from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError, _count, _real, _sequence
-from .preference import PreferenceOracle, strictly_prefers
+from .preference import PreferenceOracle, _diagonal_guess, strictly_prefers
 from .raf import AlternativeSet, Raf, bottom, scale_top, top
 from .sampling import RafSampler
 
@@ -95,6 +95,13 @@ _TREE = (
     (5, _BROKEN, _HOLDS),
 )
 
+#: :data:`_TREE` with positions 0 and 1 exchanged.  :data:`_TREE` asks 4
+#: queries on every strict ranking but "2 above 0 above 1", where it asks 5;
+#: this tree asks 4 on every one but "2 above 1 above 0".
+_TREE_10 = tuple(
+    (_PAIRS.index(tuple((1, 0, 2)[p] for p in _PAIRS[q])), no, yes) for q, no, yes in _TREE
+)
+
 
 @dataclass(frozen=True)
 class AxiomCheck:
@@ -164,33 +171,59 @@ def check_order_axioms(
     :class:`AxiomCheck` each, in that order.  Reflexivity and connectedness
     each use ``n_pairs`` draws, transitivity uses ``n_triples`` triples.  A
     triple is probed along a decision tree that asks each ordered pair at
-    most once and stops as soon as the answers settle transitivity: 25/6
-    queries on average over the strict rankings, at most 6.  An
-    intransitive triple has all six pairs asked, and its witness is the
-    first violated ordering in ``permutations`` order.  The first violation
-    of each axiom is re-queried before it is reported.
+    most once and stops as soon as the answers settle transitivity, at most
+    6 queries.  An intransitive triple has all six pairs asked, and its
+    witness is the first violated ordering in ``permutations`` order.  The
+    first violation of each axiom is re-queried before it is reported.
+
+    The oracle's ``diagonal`` hint, where it ranks two points strictly,
+    chooses which question goes first, never an answer: a pair asks first
+    whether the point hinted higher is preferred, and a triple whose first
+    point is hinted above its second walks the tree with those two
+    positions exchanged.  Reflexivity costs 1 query per point; a correct
+    hint makes connectedness cost 1 per pair and transitivity 4 per strict
+    triple, the least any probe can ask.  No hint, a tie, or a guess that
+    :func:`rafpref.utility.compute_u` would ignore keeps the hint-less
+    order; a wrong hint still asks at most 2 queries per pair and 6 per
+    triple.  Verdicts, sample counts, witnesses and the sampler's stream do
+    not depend on the hint.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
     n_triples = _count("n_triples", n_triples, 1)
     weak = oracle.weak_prefers
 
+    def above(a: Raf, b: Raf) -> bool:
+        # Whether the hint ranks ``a`` strictly above ``b``; a missing or
+        # unusable hint ranks nothing.
+        if oracle.diagonal is None:
+            return False
+        ha, hb = _diagonal_guess(oracle, a), _diagonal_guess(oracle, b)
+        return ha is not None and hb is not None and ha > hb
+
     def irreflexive(a: Raf) -> bool:
         return not weak(a, a)
 
     def incomparable(a: Raf, b: Raf) -> bool:
+        # Symmetric, so the pair is asked in either order: the hinted-higher
+        # point first, since its "yes" settles the pair at once.
+        if above(b, a):
+            a, b = b, a
         return not weak(a, b) and not weak(b, a)
 
     def intransitive(x: Raf, y: Raf, z: Raf) -> bool:
         return weak(x, y) and weak(y, z) and not weak(x, z)
 
     def broken_order(triple: Sequence[Raf]) -> tuple[Raf, Raf, Raf] | None:
-        # Walk _TREE until the answers settle the triple.  An intransitive
-        # one has its other pairs asked too, so the witness is the first
-        # violated ordering in permutations order.
+        # Walk _TREE, or _TREE_10 when the hint ranks the first point above
+        # the second, until the answers settle the triple.  ``rel`` is
+        # indexed by the triple's own positions on either tree, so an
+        # intransitive one has its other pairs asked in _PAIRS order and the
+        # witness is the first violated ordering in permutations order.
+        tree = _TREE_10 if above(triple[0], triple[1]) else _TREE
         rel = [None] * 6
         node = 0
         while node >= 0:
-            q, no, yes = _TREE[node]
+            q, no, yes = tree[node]
             x, y = _PAIRS[q]
             rel[q] = answer = weak(triple[x], triple[y])
             node = yes if answer else no
@@ -210,9 +243,9 @@ def check_order_axioms(
         ("connectedness", n_pairs, ("first", "second"), incomparable, None),
         ("transitivity", n_triples, ("first", "second", "third"), intransitive, broken_order),
     ):
-        # Drawn lazily, one read per candidate: sampling stops at the first
-        # replayed witness.
-        draws = map(sampler.rafs, repeat(len(roles), n))
+        # Built in chunks, but the stream moves one candidate at a time:
+        # sampling stops at the first replayed witness.
+        draws = sampler._groups(len(roles), n)
         checks.append(_search(axiom, draws, violated, _roles(*roles), find))
     return tuple(checks)
 

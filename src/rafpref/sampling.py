@@ -11,6 +11,8 @@ to treat separately.
 
 from __future__ import annotations
 
+from typing import Iterator
+
 from .errors import ValidationError, _count
 from .raf import AlternativeSet, Raf, _unchecked
 
@@ -19,6 +21,9 @@ __all__ = ["RafSampler"]
 #: Doubles fetched from the generator per refill.  Any size serves the same
 #: stream, since ``Generator.random(n)`` returns the next ``n`` single draws.
 _BLOCK = 1024
+
+#: Groups of points :meth:`RafSampler._groups` builds at once.
+_CHUNK = 64
 
 
 class RafSampler:
@@ -90,6 +95,26 @@ class RafSampler:
         alts, k = self.alts, self._k
         values = self._take(n * k)
         return [_unchecked(alts, values[i : i + k]) for i in range(0, n * k, k)]
+
+    def _groups(self, size: int, n: int) -> Iterator[tuple[Raf, ...]]:
+        """``n`` tuples of ``size >= 1`` points, each the values of ``rafs(size)``.
+
+        The points of up to :data:`_CHUNK` tuples are built at once, but the
+        stream moves past a tuple only when it is yielded: a caller that stops
+        early leaves the next read where ``n`` calls of :meth:`rafs` would
+        have.  No other read may come between two tuples.
+        """
+        alts, k = self.alts, self._k
+        step = size * k
+        while n > 0:
+            m = min(n, _CHUNK)
+            values = self._take(m * step)
+            self._next -= m * step
+            points = [_unchecked(alts, values[i : i + k]) for i in range(0, m * step, k)]
+            for i in range(0, m * size, size):
+                self._next += step
+                yield tuple(points[i : i + size])
+            n -= m
 
     def strictly_dominating_pair(self) -> tuple[Raf, Raf]:
         """A pair where the first RAF strictly dominates the second.

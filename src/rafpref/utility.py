@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
-from .preference import PreferenceOracle
+from .preference import PreferenceOracle, _diagonal_guess
 from .raf import Raf, _diagonal, scale_top
 from .sampling import RafSampler
 
@@ -111,9 +111,9 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
     width = math.ldexp(1.0, math.frexp(2.0 * tol)[1] - 1)  # largest power of two <= 2*tol
     # The all-ones point is settled by its ends alone: no hint is read for it.
     top = all(v == 1.0 for v in raf.values)
-    hint = None if top or oracle.diagonal is None else oracle.diagonal(raf)
+    hint = None if top else _diagonal_guess(oracle, raf)
     cell = None
-    if hint is not None and 0.0 <= hint <= 1.0:
+    if hint is not None:
         hi = max(math.ceil(hint / width), 1) * width
         lo = hi - width
         cell = (lo, hi)

@@ -15,7 +15,9 @@ executable scorecard:
 8.  tournament choice sits inside the utility band and matches exact
     score argmax;
 9.  CLI reports are byte-identical across reruns;
-10. a hinted cell inside (0, 1) costs exactly two queries.
+10. a hinted cell inside (0, 1) costs exactly two queries;
+11. hinted order checks ask one query per point and per pair and four per
+    triple.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from rafpref import (
     RafSampler,
     bottom,
     builtin_families,
+    check_order_axioms,
     compute_u,
     cross_validate_choice,
     falsify_weak_continuity,
@@ -328,3 +331,31 @@ def test_hinted_cell_costs_two_queries():
                 if 0.0 < hi - width and hi < 1.0:
                     calls.add(compute_u(oracle, raf, tol)["oracle_calls"])
     _report("hinted cell", calls == {2}, f"queries per point {sorted(calls)}")
+
+
+def test_hinted_order_checks_ask_the_least():
+    # On each hinted dominant kind the hint ranks every sampled pair and
+    # triple as the oracle does, so reflexivity and connectedness ask one
+    # query per candidate and transitivity four, the least any probe can.
+    n_pairs, n_triples = 1000, 1000
+    expected = n_pairs + n_pairs + 4 * n_triples
+    counts = set()
+    passed = True
+    for kind in DOMINANT_KINDS:
+        oracle = _oracle(kind)
+        for seed in (1, 2, 3):
+            calls = []
+
+            def query(a, b, _weak=oracle.weak_prefers, _calls=calls):
+                _calls.append(1)
+                return _weak(a, b)
+
+            counting = rp.PreferenceOracle(kind, ALTS5, query, diagonal=oracle.diagonal)
+            checks = check_order_axioms(counting, RafSampler(ALTS5, seed), n_pairs, n_triples)
+            passed = passed and all(c.passed for c in checks)
+            counts.add(len(calls))
+    _report(
+        "hinted order checks",
+        passed and counts == {expected},
+        f"queries per request {sorted(counts)}, least {expected}",
+    )

@@ -131,10 +131,14 @@ class FixedSampler:
     def rafs(self, n):
         return list(self.points) if n == 3 else [self.points[0]] * n
 
+    def _groups(self, size, n):
+        return [tuple(self.rafs(size))] * n
 
-def table_oracle(alts, points, answers, log):
+
+def table_oracle(alts, points, answers, log, hints=None):
     # Answers each ordered pair of distinct points from ``answers``, every
     # point is preferred to itself, and each query is logged by position.
+    # ``hints``, if given, is each point's diagonal guess by position.
     position = {p.values: i for i, p in enumerate(points)}
 
     def query(a, b):
@@ -142,11 +146,14 @@ def table_oracle(alts, points, answers, log):
         log.append((i, j))
         return i == j or answers[(i, j)]
 
-    return PreferenceOracle("table", alts, query)
+    diagonal = None if hints is None else (lambda p: hints[position[p.values]])
+    return PreferenceOracle("table", alts, query, diagonal=diagonal)
 
 
 PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
 PATTERNS = list(product((False, True), repeat=6))
+# No hint, the six strict hint rankings of a triple, a tie and NaN.
+HINTS = [None, *permutations((0.1, 0.5, 0.9)), (0.5, 0.5, 0.5), (float("nan"),) * 3]
 
 
 def intransitive(rel):
@@ -176,40 +183,43 @@ def settled_after(probe, answers):
 
 
 def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2):
+    # Whatever the hint, right, wrong, tied or NaN, the probe finds the
+    # reference's verdict and witness and follows the same rules.
     points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
     roles = ("first", "second", "third")
-    for pattern in PATTERNS:
+    for hints, pattern in product(HINTS, PATTERNS):
+        case = (hints, pattern)
         answers = dict(zip(PAIRS, pattern))
         log = []
-        oracle = table_oracle(alts2, points, answers, log)
+        oracle = table_oracle(alts2, points, answers, log, hints)
         _, _, check = check_order_axioms(oracle, FixedSampler(points), 1, 1)
         reference = table_oracle(alts2, points, answers, [])
         witness = reference_broken_order(reference.weak_prefers, points)
         # Reflexivity and connectedness ask (0, 0) once each; then the probe
         # and, after a witness, its replay.
-        assert log[:2] == [(0, 0), (0, 0)], pattern
+        assert log[:2] == [(0, 0), (0, 0)], case
         if witness is None:
             probe = log[2:]
-            assert check.verdict == rp.PASSED_SAMPLED, pattern
+            assert check.verdict == rp.PASSED_SAMPLED, case
         else:
             probe, replay = log[2:-3], log[-3:]
             x, y, z = (points.index(p) for p in witness)
-            assert check.verdict == rp.FALSIFIED and check.samples == 1, pattern
-            assert check.witness == {r: p.to_dict() for r, p in zip(roles, witness)}, pattern
-            assert replay == [(x, y), (y, z), (x, z)], pattern
-        assert len(set(probe)) == len(probe) <= 6, pattern
+            assert check.verdict == rp.FALSIFIED and check.samples == 1, case
+            assert check.witness == {r: p.to_dict() for r, p in zip(roles, witness)}, case
+            assert replay == [(x, y), (y, z), (x, z)], case
+        assert len(set(probe)) == len(probe) <= 6, case
         # The probe stops as soon as its answers settle the triple; an
         # intransitive one then has its other pairs asked in PAIRS order.
         k = settled_after(probe, answers)
-        assert k is not None, pattern
+        assert k is not None, case
         rest = [] if witness is None else [p for p in PAIRS if p not in probe[:k]]
-        assert probe[k:] == rest, pattern
+        assert probe[k:] == rest, case
 
 
-def probe_cost(points, answers):
+def probe_cost(points, answers, hints=None):
     """Queries the transitivity probe asks on one triple."""
     log = []
-    oracle = table_oracle(points[0].alts, points, answers, log)
+    oracle = table_oracle(points[0].alts, points, answers, log, hints)
     check_order_axioms(oracle, FixedSampler(points), 1, 1)
     return len(log) - 2  # after reflexivity's and connectedness' one query each
 
@@ -247,6 +257,78 @@ def test_transitivity_probe_cost_is_the_least_possible(alts2):
     weak_orders = {tuple(sorted(ranking_answers(r).items())) for r in product(range(3), repeat=3)}
     assert len(weak_orders) == 13
     assert {probe_cost(points, dict(w)) for w in weak_orders} <= {4, 5, 6}
+
+
+def least_certificate(answers):
+    """The fewest of ``answers``, one per pair of PAIRS, that settle the
+    triple: an exhaustive search over the 64 subsets of pairs."""
+    return min(
+        sum(asked)
+        for asked in PATTERNS
+        if settled(tuple(a if ask else None for a, ask in zip(answers, asked)))
+    )
+
+
+def test_a_correctly_hinted_triple_asks_the_least_certificate(alts2):
+    # No 3 answers settle a strict triple, and a hint that ranks the points
+    # as the oracle does makes the probe ask exactly 4 on every ranking.
+    points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
+    for rank in permutations(range(3)):
+        answers = ranking_answers(rank)
+        assert least_certificate(tuple(answers[p] for p in PAIRS)) == 4, rank
+        hints = tuple(0.2 + 0.3 * r for r in rank)
+        assert probe_cost(points, answers, hints) == 4, rank
+
+
+def logging_oracle(truth, log, diagonal):
+    """``truth``'s answers with the given hint; each query is logged by its
+    points' values."""
+
+    def query(a, b):
+        log.append((a.values, b.values))
+        return truth.weak_prefers(a, b)
+
+    return PreferenceOracle("logged", truth.alts, query, diagonal=diagonal)
+
+
+@pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
+def test_connectedness_asks_once_per_pair_when_the_hint_is_right(alts3, oracle_factory, kind):
+    n = 200
+    truth = oracle_factory(kind, alts3)
+    sampler = RafSampler(alts3, SEED)
+    sampler.rafs(n)  # reflexivity's points
+    drawn = {tuple(p.values for p in sampler.rafs(2)) for _ in range(n)}
+    costs = {}
+    for name, diagonal in (
+        ("right", truth.diagonal),
+        ("none", None),
+        ("wrong", lambda raf: 1.0 - truth.diagonal(raf)),
+    ):
+        log = []
+        oracle = logging_oracle(truth, log, diagonal)
+        checks = check_order_axioms(oracle, RafSampler(alts3, SEED), n, 1)
+        assert all(c.passed for c in checks), name
+        asked = [q for q in log if q in drawn or q[::-1] in drawn]
+        costs[name] = len(asked)
+        if name == "right":
+            # The point hinted higher is asked first, and its "yes" settles the pair.
+            assert all(truth.weak_prefers(Raf(alts3, a), Raf(alts3, b)) for a, b in asked)
+    # A wrong hint asks both questions of every pair, as many as any order can.
+    assert costs["right"] == n < costs["none"] < costs["wrong"] == 2 * n
+
+
+@pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), -0.5, 2.0])
+def test_an_unusable_hint_asks_what_no_hint_asks(alts3, oracle_factory, bad):
+    # Half the points have the unusable guess and the others tie at 1/2, so
+    # only a guess that was read as a level could reorder a question.
+    truth = oracle_factory("min", alts3)
+    logs = []
+    for diagonal in (None, lambda raf: bad if raf.values[0] < 0.5 else 0.5):
+        log = []
+        oracle = logging_oracle(truth, log, diagonal)
+        checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 100, 100)
+        logs.append((log, checks))
+    assert logs[0] == logs[1]
 
 
 def stream_points(alts, seed, count):

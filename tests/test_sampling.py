@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+from itertools import islice
 from unittest import mock
 
 import numpy as np
@@ -110,6 +111,10 @@ class Reference:
     def rafs(self, n):
         return [self.raf() for _ in range(n)]
 
+    def _groups(self, size, n):
+        for _ in range(n):
+            yield tuple(self.rafs(size))
+
     def strictly_dominating_pair(self):
         upper, lower = [], []
         for _ in self.alts:
@@ -140,16 +145,17 @@ def _run(sampler, ops):
     for op, n in ops:
         if op == "rafs":
             out.append(sampler.rafs(n))
-        elif op.startswith("rafs"):
-            # n groups of a fixed size, as check_order_axioms draws candidates.
-            out.extend(sampler.rafs(int(op[4:])) for _ in range(n))
+        elif op.startswith("groups"):
+            # The first n of 2n groups of a fixed size, as check_order_axioms
+            # draws candidates and stops at a witness.
+            out.extend(islice(sampler._groups(int(op[6:]), 2 * n), n))
         else:
             out.extend(getattr(sampler, op)() for _ in range(n))
     return out
 
 
 OPS = ["unit", "raf", "rafs", "strictly_dominating_pair", "pointwise_dominating_pair"]
-OPS += [f"rafs{size}" for size in range(5)]
+OPS += [f"groups{size}" for size in range(1, 5)]
 LONG = [(op, 300) for op in OPS] * 2
 
 
@@ -158,17 +164,19 @@ LONG = [(op, 300) for op in OPS] * 2
     k=st.sampled_from([2, 3, 5, 8]),
     seed=st.integers(0, 2**32),
     block=st.sampled_from([1, 3, 16, sampling._BLOCK]),
+    chunk=st.sampled_from([1, 7, sampling._CHUNK]),
     ops=st.lists(st.tuples(st.sampled_from(OPS), st.integers(0, 60)), max_size=40),
 )
-@example(k=2, seed=0, block=sampling._BLOCK, ops=LONG)
-@example(k=5, seed=1, block=sampling._BLOCK, ops=LONG)
-@example(k=8, seed=2, block=sampling._BLOCK, ops=LONG[::-1])
-def test_any_interleaving_reads_the_reference_stream(k, seed, block, ops):
+@example(k=2, seed=0, block=sampling._BLOCK, chunk=sampling._CHUNK, ops=LONG)
+@example(k=5, seed=1, block=sampling._BLOCK, chunk=sampling._CHUNK, ops=LONG)
+@example(k=8, seed=2, block=sampling._BLOCK, chunk=sampling._CHUNK, ops=LONG[::-1])
+def test_any_interleaving_reads_the_reference_stream(k, seed, block, chunk, ops):
     # LONG reads at least 3000 * k values, several refills at the real size;
-    # the small sizes refill within a single point.
+    # the small sizes refill within a single point.  A group op stops
+    # halfway through the groups it asked for, inside a chunk when n > 32.
     alts = rp.AlternativeSet(tuple(f"x{i}" for i in range(k)))
     reference = _run(Reference(alts, np.random.default_rng(seed)), ops)
-    with mock.patch.object(sampling, "_BLOCK", block):
+    with mock.patch.object(sampling, "_BLOCK", block), mock.patch.object(sampling, "_CHUNK", chunk):
         assert _run(RafSampler(alts, seed), ops) == reference
 
 

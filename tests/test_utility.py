@@ -385,10 +385,12 @@ class TestHintedCell:
         values=POINT3,
         kind=st.sampled_from(sorted(HINTED)),
         hint=st.one_of(
+            st.none(),
             st.floats(allow_nan=True, allow_infinity=True),
             st.floats(min_value=0.0, max_value=1.0),
         ),
     )
+    @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="min", hint=None)
     @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="additive", hint=math.nan)
     @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="min", hint=math.inf)
     @example(tol=1e-9, values=(0.3, 0.6, 0.9), kind="geometric", hint=-math.inf)
@@ -402,7 +404,7 @@ class TestHintedCell:
         plain = compute_u(hintless(rp.build_oracle(HINTED[kind], ALTS3)), raf, tol)
         assert bracket(result) == bracket(plain)
         assert result["oracle_calls"] <= call_budget(tol)
-        if not 0.0 <= hint <= 1.0:  # no hint at all
+        if hint is None or not 0.0 <= hint <= 1.0:  # no hint at all
             assert result["oracle_calls"] == plain["oracle_calls"]
 
     def test_a_contradiction_raises_with_both_levels(self, alts3):
