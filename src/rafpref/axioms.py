@@ -1,18 +1,22 @@
 """Sampled checks and falsifiers for the order and regularity axioms.
 
 The axioms quantify over an uncountable space, so nothing here proves
-anything.  Each of the five checks returns an :class:`AxiomCheck`.  A clean
-outcome is ``"passed_sampled"``; a dirty one is ``"falsified"`` and carries a
-concrete witness that has been replayed through the public predicates, so a
-report is never wrong about a falsification.  Continuity falsification is
-additionally only semi-decidable: the fixed family library either exhibits
-a witness or says ``"not_falsified"`` at this depth, never "verified".
+anything.  Each of the five checks returns the JSON-ready record
+``{"axiom", "verdict", "samples", "witness", "note"}``.  ``samples`` counts
+the candidates probed, up to the witness if one is found.  A clean verdict
+is ``"passed_sampled"``; a dirty one is ``"falsified"`` and carries a
+concrete witness, a JSON-ready record built once it has been replayed
+through the public predicates, so a report is never wrong about a
+falsification.  ``note`` says when a verdict must not be read as a
+verification.  Continuity falsification is additionally only
+semi-decidable: the fixed family library either exhibits a witness or says
+``"not_falsified"`` at this depth, never "verified".
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
@@ -25,7 +29,6 @@ __all__ = [
     "PASSED_SAMPLED",
     "NOT_FALSIFIED",
     "FALSIFIED",
-    "AxiomCheck",
     "check_order_axioms",
     "falsify_weak_dominance",
     "SequenceFamily",
@@ -103,29 +106,6 @@ _TREE_10 = tuple(
 )
 
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    """Outcome of one axiom's sampled check.
-
-    ``samples`` counts the candidates probed, up to the witness if one is
-    found; ``witness`` is its JSON-ready record.  ``note`` says when a
-    verdict must not be read as a verification.
-    """
-
-    axiom: str
-    verdict: str
-    samples: int
-    witness: dict | None = None
-    note: str | None = None
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict != FALSIFIED
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-
 def _roles(*roles: str) -> Callable[..., dict]:
     """A witness record that names each point of the witness by its role."""
     return lambda *rafs: {role: raf.to_dict() for role, raf in zip(roles, rafs)}
@@ -139,8 +119,8 @@ def _search(
     find: Callable[[tuple], tuple | None] | None = None,
     clean: str = PASSED_SAMPLED,
     note: str | None = None,
-) -> AxiomCheck:
-    """``axiom``'s check: the first witness among ``candidates`` that replays.
+) -> dict:
+    """``axiom``'s check record: the first witness among ``candidates`` that replays.
 
     ``violated(*witness)`` is the predicate of one violation.  ``find``
     probes a candidate for a witness; by default the candidate is probed
@@ -155,8 +135,10 @@ def _search(
         else:
             witness = find(candidate)
         if witness is not None and violated(*witness):
-            return AxiomCheck(axiom, FALSIFIED, samples, record(*witness))
-    return AxiomCheck(axiom, clean, samples, note=note)
+            return dict(
+                axiom=axiom, verdict=FALSIFIED, samples=samples, witness=record(*witness), note=None
+            )
+    return dict(axiom=axiom, verdict=clean, samples=samples, witness=None, note=note)
 
 
 def check_order_axioms(
@@ -164,12 +146,12 @@ def check_order_axioms(
     sampler: RafSampler,
     n_pairs: int,
     n_triples: int,
-) -> tuple[AxiomCheck, AxiomCheck, AxiomCheck]:
+) -> tuple[dict, dict, dict]:
     """Probe reflexivity, connectedness and transitivity on random draws.
 
-    Returns ``(reflexivity, connectedness, transitivity)``, one
-    :class:`AxiomCheck` each, in that order.  Reflexivity and connectedness
-    each use ``n_pairs`` draws, transitivity uses ``n_triples`` triples.  A
+    Returns ``(reflexivity, connectedness, transitivity)``, one check
+    record each, in that order.  Reflexivity and connectedness each use
+    ``n_pairs`` draws, transitivity uses ``n_triples`` triples.  A
     triple is probed along a decision tree that asks each ordered pair at
     most once and stops as soon as the answers settle transitivity, at most
     6 queries.  An intransitive triple has all six pairs asked, and its
@@ -254,7 +236,7 @@ def falsify_weak_dominance(
     oracle: PreferenceOracle,
     sampler: RafSampler,
     n_pairs: int,
-) -> AxiomCheck:
+) -> dict:
     """Search for a strictly dominating pair that is not strictly preferred.
 
     The canonical pair (everything available, nothing available) is always
@@ -360,7 +342,7 @@ def falsify_weak_continuity(
     oracle: PreferenceOracle,
     families: Iterable[SequenceFamily],
     depth: int,
-) -> AxiomCheck:
+) -> dict:
     """Search the family library for a continuity violation.
 
     A witness requires strict preference of the first side at every term up

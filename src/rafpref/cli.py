@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from .axioms import (
+    FALSIFIED,
     builtin_families,
     check_order_axioms,
     falsify_weak_continuity,
@@ -197,7 +198,7 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
     families = builtin_families(oracle.alts, loci=loci)
     continuity = falsify_weak_continuity(oracle, families, args.depth)
 
-    all_passed = all(c.passed for c in (*order, dominance, continuity))
+    all_passed = all(c["verdict"] != FALSIFIED for c in (*order, dominance, continuity))
     payload = {
         "command": "check-axioms",
         "config": {
@@ -210,9 +211,9 @@ def _cmd_check_axioms(args: argparse.Namespace) -> tuple[str, int]:
         "alts": list(oracle.alts.labels),
         "spec": spec.to_dict(),
         "oracle": oracle.name,
-        "order_axioms": {"checks": [c.to_dict() for c in order]},
-        "weak_dominance": dominance.to_dict(),
-        "weak_continuity": continuity.to_dict(),
+        "order_axioms": {"checks": order},
+        "weak_dominance": dominance,
+        "weak_continuity": continuity,
         "all_passed": all_passed,
     }
     return _to_json(payload), 0 if all_passed else 2

@@ -166,11 +166,16 @@ class PreferenceOracle:
         if (a.alts is not self.alts and a.alts != self.alts) or (
             b.alts is not self.alts and b.alts != self.alts
         ):
-            raise AlternativeSetMismatchError(
-                f"oracle {self.name!r} is defined over {self.alts.labels}, "
-                f"got operands over {a.alts.labels} and {b.alts.labels}"
-            )
+            raise self._mismatch(a.alts, b.alts)
         return bool(self._query(a, b))
+
+    def _mismatch(self, first: AlternativeSet, second: AlternativeSet) -> AlternativeSetMismatchError:
+        """The error for operands over ``first`` and ``second`` when either
+        is not this oracle's alternative set."""
+        return AlternativeSetMismatchError(
+            f"oracle {self.name!r} is defined over {self.alts.labels}, "
+            f"got operands over {first.labels} and {second.labels}"
+        )
 
     def __repr__(self) -> str:
         return f"PreferenceOracle({self.name!r}, alts={self.alts.labels})"

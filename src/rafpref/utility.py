@@ -80,9 +80,14 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
     the ray's ends: an oracle that fails membership at 1 is then given a
     bracket, not the error.  A NaN, infinite or out-of-range hint counts as
     none.  Every probed level is a dyadic rational that a float holds
-    exactly, because ``tol`` is at least ``2**-54``.
+    exactly, because ``tol`` is at least ``2**-54``.  A point over another
+    alternative set raises :class:`AlternativeSetMismatchError` before the
+    hint is read.
     """
     tol = _tol(tol)
+    if raf.alts is not oracle.alts and raf.alts != oracle.alts:
+        # Before the hint, which would read coordinates the point may lack.
+        raise oracle._mismatch(oracle.alts, raf.alts)
     calls = 0
     # The lowest level known to be a member and the highest known not to be.
     yes, no = 1.0, 0.0
@@ -150,7 +155,7 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
         probe(near)
         probe(far)
 
-    lo, hi = (no, yes) if yes - no <= width else (0.0, 1.0)
+    lo, hi = 0.0, 1.0
     while hi - lo > 2.0 * tol:
         mid = 0.5 * (lo + hi)
         if probe(mid):

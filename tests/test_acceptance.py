@@ -198,9 +198,9 @@ def test_counterexample_suite():
 
     anti = _oracle("anti_monotone")
     hit = falsify_weak_dominance(anti, RafSampler(ALTS5, SEED), 1)
-    caught = not hit.passed and hit.samples == 1
+    caught = hit["verdict"] == rp.FALSIFIED and hit["samples"] == 1
     if caught:
-        first, second = (rp.Raf.from_dict(hit.witness[role]) for role in ("first", "second"))
+        first, second = (rp.Raf.from_dict(hit["witness"][role]) for role in ("first", "second"))
         caught = (first, second) == (top(ALTS5), bottom(ALTS5))
     ok = ok and caught
     details.append(f"anti_monotone dominance witness on canonical probe: {caught}")
@@ -209,17 +209,17 @@ def test_counterexample_suite():
         oracle = _oracle(kind)
         families = builtin_families(ALTS5, loci=loci)
         found = falsify_weak_continuity(oracle, families, 10)
-        verified = not found.passed
+        verified = found["verdict"] == rp.FALSIFIED
         if verified:
-            (family,) = [f for f in families if f.description == found.witness["family"]]
-            limit_first = rp.Raf.from_dict(found.witness["limit_first"])
-            limit_second = rp.Raf.from_dict(found.witness["limit_second"])
+            (family,) = [f for f in families if f.description == found["witness"]["family"]]
+            limit_first = rp.Raf.from_dict(found["witness"]["limit_first"])
+            limit_second = rp.Raf.from_dict(found["witness"]["limit_second"])
             verified = (
                 family.limits == (limit_first, limit_second)
                 and strictly_prefers(oracle, limit_second, limit_first)
                 and all(
                     strictly_prefers(oracle, *family.term(n))
-                    for n in range(1, found.witness["depth"] + 1)
+                    for n in range(1, found["witness"]["depth"] + 1)
                 )
             )
         ok = ok and verified
@@ -227,8 +227,11 @@ def test_counterexample_suite():
 
     for kind in ("additive", "min", "geometric"):
         oracle = _oracle(kind)
-        clean = falsify_weak_continuity(oracle, builtin_families(ALTS5), 100).passed
-        clean = clean and falsify_weak_dominance(oracle, RafSampler(ALTS5, SEED), 1000).passed
+        checks = (
+            falsify_weak_continuity(oracle, builtin_families(ALTS5), 100),
+            falsify_weak_dominance(oracle, RafSampler(ALTS5, SEED), 1000),
+        )
+        clean = all(c["verdict"] != rp.FALSIFIED for c in checks)
         ok = ok and clean
         details.append(f"{kind} clean: {clean}")
 
@@ -352,7 +355,7 @@ def test_hinted_order_checks_ask_the_least():
 
             counting = rp.PreferenceOracle(kind, ALTS5, query, diagonal=oracle.diagonal)
             checks = check_order_axioms(counting, RafSampler(ALTS5, seed), n_pairs, n_triples)
-            passed = passed and all(c.passed for c in checks)
+            passed = passed and all(c["verdict"] != rp.FALSIFIED for c in checks)
             counts.add(len(calls))
     _report(
         "hinted order checks",

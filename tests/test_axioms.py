@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import json
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -55,10 +56,10 @@ class TestOrderAxioms:
     def test_builtins_pass_sampled(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 300, 300)
-        assert all(c.passed for c in checks)
+        assert all(c["verdict"] != rp.FALSIFIED for c in checks)
         for check in checks:
-            assert check.verdict == rp.PASSED_SAMPLED
-            assert check.witness is None
+            assert check["verdict"] == rp.PASSED_SAMPLED
+            assert check["witness"] is None
 
     def test_counts_must_be_positive(self, alts3, oracle_factory):
         oracle = oracle_factory("min", alts3)
@@ -71,28 +72,28 @@ class TestOrderAxioms:
         oracle = never_oracle(alts3)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 50, 50)
         check = checks[0]
-        assert check.verdict == rp.FALSIFIED
-        assert check.samples == 1
-        witness = Raf.from_dict(check.witness["raf"])
+        assert check["verdict"] == rp.FALSIFIED
+        assert check["samples"] == 1
+        witness = Raf.from_dict(check["witness"]["raf"])
         assert not oracle.weak_prefers(witness, witness)
-        assert not all(c.passed for c in checks)
+        assert any(c["verdict"] == rp.FALSIFIED for c in checks)
 
     def test_connectedness_falsified_on_a_partial_order(self, alts3):
         oracle = partial_order_oracle(alts3)
         _, check, _ = check_order_axioms(oracle, RafSampler(alts3, SEED), 200, 1)
-        assert check.verdict == rp.FALSIFIED
-        a = Raf.from_dict(check.witness["first"])
-        b = Raf.from_dict(check.witness["second"])
+        assert check["verdict"] == rp.FALSIFIED
+        a = Raf.from_dict(check["witness"]["first"])
+        b = Raf.from_dict(check["witness"]["second"])
         assert not oracle.weak_prefers(a, b)
         assert not oracle.weak_prefers(b, a)
 
     def test_transitivity_falsified_on_a_cycle(self, alts3):
         oracle = cyclic_oracle(alts3)
         _, _, check = check_order_axioms(oracle, RafSampler(alts3, SEED), 1, 2000)
-        assert check.verdict == rp.FALSIFIED
-        x = Raf.from_dict(check.witness["first"])
-        y = Raf.from_dict(check.witness["second"])
-        z = Raf.from_dict(check.witness["third"])
+        assert check["verdict"] == rp.FALSIFIED
+        x = Raf.from_dict(check["witness"]["first"])
+        y = Raf.from_dict(check["witness"]["second"])
+        z = Raf.from_dict(check["witness"]["third"])
         assert oracle.weak_prefers(x, y)
         assert oracle.weak_prefers(y, z)
         assert not oracle.weak_prefers(x, z)
@@ -100,8 +101,8 @@ class TestOrderAxioms:
     def test_report_serializes(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 5, 5)
-        docs = [c.to_dict() for c in checks]
-        assert all(c.passed for c in checks)
+        docs = json.loads(json.dumps(checks))
+        assert all(c["verdict"] != rp.FALSIFIED for c in checks)
         assert [d["axiom"] for d in docs] == ["reflexivity", "connectedness", "transitivity"]
         assert all(d["verdict"] == rp.PASSED_SAMPLED and d["samples"] == 5 for d in docs)
 
@@ -200,12 +201,12 @@ def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2)
         assert log[:2] == [(0, 0), (0, 0)], case
         if witness is None:
             probe = log[2:]
-            assert check.verdict == rp.PASSED_SAMPLED, case
+            assert check["verdict"] == rp.PASSED_SAMPLED, case
         else:
             probe, replay = log[2:-3], log[-3:]
             x, y, z = (points.index(p) for p in witness)
-            assert check.verdict == rp.FALSIFIED and check.samples == 1, case
-            assert check.witness == {r: p.to_dict() for r, p in zip(roles, witness)}, case
+            assert check["verdict"] == rp.FALSIFIED and check["samples"] == 1, case
+            assert check["witness"] == {r: p.to_dict() for r, p in zip(roles, witness)}, case
             assert replay == [(x, y), (y, z), (x, z)], case
         assert len(set(probe)) == len(probe) <= 6, case
         # The probe stops as soon as its answers settle the triple; an
@@ -307,7 +308,7 @@ def test_connectedness_asks_once_per_pair_when_the_hint_is_right(alts3, oracle_f
         log = []
         oracle = logging_oracle(truth, log, diagonal)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), n, 1)
-        assert all(c.passed for c in checks), name
+        assert all(c["verdict"] != rp.FALSIFIED for c in checks), name
         asked = [q for q in log if q in drawn or q[::-1] in drawn]
         costs[name] = len(asked)
         if name == "right":
@@ -385,7 +386,8 @@ class TestOrderSamplingIsLazy:
 
         sampler = RafSampler(alts, SEED)
         checks = check_order_axioms(failing_oracle(alts, axiom, bad), sampler, n, n)
-        assert [(c.axiom, c.samples) for c in checks if not c.passed] == [(axiom, at)]
+        found = [(c["axiom"], c["samples"]) for c in checks if c["verdict"] == rp.FALSIFIED]
+        assert found == [(axiom, at)]
 
         logged = []
         key = rp.build_oracle(rp.PreferenceSpec(kind="min"), alts).key
@@ -394,7 +396,8 @@ class TestOrderSamplingIsLazy:
             logged.append((a.values, b.values))
             return key(a) >= key(b)
 
-        assert falsify_weak_dominance(PreferenceOracle("log", alts, logging), sampler, 5).passed
+        check = falsify_weak_dominance(PreferenceOracle("log", alts, logging), sampler, 5)
+        assert check["verdict"] != rp.FALSIFIED
         expected = []
         for _ in range(5):
             upper, lower = [], []
@@ -411,12 +414,12 @@ class TestOrderSamplingIsLazy:
 
 def pair_of(check):
     """The two points of a check's ``{"first", "second"}`` witness record."""
-    return Raf.from_dict(check.witness["first"]), Raf.from_dict(check.witness["second"])
+    return Raf.from_dict(check["witness"]["first"]), Raf.from_dict(check["witness"]["second"])
 
 
 def family_of(check, families):
     """The family a continuity check's witness record names."""
-    (family,) = [f for f in families if f.description == check.witness["family"]]
+    (family,) = [f for f in families if f.description == check["witness"]["family"]]
     return family
 
 
@@ -424,21 +427,22 @@ class TestWeakDominance:
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
     def test_monotone_builtins_not_falsified(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
-        assert falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1000).passed
+        check = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1000)
+        assert check["verdict"] != rp.FALSIFIED
 
     def test_anti_monotone_fails_on_the_canonical_pair(self, alts3, oracle_factory):
         oracle = oracle_factory("anti_monotone", alts3)
         check = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 1)
-        assert (check.verdict, check.samples) == (rp.FALSIFIED, 1)
+        assert (check["verdict"], check["samples"]) == (rp.FALSIFIED, 1)
         assert pair_of(check) == (top(alts3), bottom(alts3))
 
     def test_threshold_fails_below_the_cutoff(self, alts3, oracle_factory):
         oracle = oracle_factory("threshold", alts3, cutoff=0.5)
         check = falsify_weak_dominance(oracle, RafSampler(alts3, SEED), 500)
-        assert not check.passed
+        assert check["verdict"] == rp.FALSIFIED
         a, b = pair_of(check)
         # The canonical pair is preferred, so the witness is a sampled pair.
-        assert 1 < check.samples <= 501
+        assert 1 < check["samples"] <= 501
         assert strictly_dominates(a, b)
         assert not strictly_prefers(oracle, a, b)
 
@@ -459,21 +463,22 @@ class TestWeakContinuity:
     @pytest.mark.parametrize("kind", ["additive", "min", "geometric", "anti_monotone"])
     def test_continuous_builtins_not_falsified_at_depth_100(self, alts3, oracle_factory, kind):
         oracle = oracle_factory(kind, alts3)
-        assert falsify_weak_continuity(oracle, builtin_families(alts3), 100).passed
+        check = falsify_weak_continuity(oracle, builtin_families(alts3), 100)
+        assert check["verdict"] != rp.FALSIFIED
 
     def test_lexicographic_witness_is_the_coordinate_bump(self, alts2, oracle_factory):
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
         families = builtin_families(alts2)
         check = falsify_weak_continuity(oracle, families, 10)
-        assert not check.passed
-        limit_first = Raf.from_dict(check.witness["limit_first"])
-        limit_second = Raf.from_dict(check.witness["limit_second"])
+        assert check["verdict"] == rp.FALSIFIED
+        limit_first = Raf.from_dict(check["witness"]["limit_first"])
+        limit_second = Raf.from_dict(check["witness"]["limit_second"])
         assert limit_first.values == (0.5, 0.0)
         assert limit_second.values == (0.5, 1.0)
         # Replay the full witness through the public predicates.
         family = family_of(check, families)
         assert family.limits == (limit_first, limit_second)
-        for n in range(1, check.witness["depth"] + 1):
+        for n in range(1, check["witness"]["depth"] + 1):
             first, second = family.term(n)
             assert strictly_prefers(oracle, first, second)
         assert strictly_prefers(oracle, limit_second, limit_first)
@@ -482,21 +487,21 @@ class TestWeakContinuity:
         oracle = oracle_factory("threshold", alts3, cutoff=0.5)
         families = builtin_families(alts3, loci=(0.5,))
         check = falsify_weak_continuity(oracle, families, 10)
-        assert not check.passed
+        assert check["verdict"] == rp.FALSIFIED
         family = family_of(check, families)
-        for n in range(1, check.witness["depth"] + 1):
+        for n in range(1, check["witness"]["depth"] + 1):
             first, second = family.term(n)
             assert strictly_prefers(oracle, first, second)
-        limit_first = Raf.from_dict(check.witness["limit_first"])
-        limit_second = Raf.from_dict(check.witness["limit_second"])
+        limit_first = Raf.from_dict(check["witness"]["limit_first"])
+        limit_second = Raf.from_dict(check["witness"]["limit_second"])
         assert family.limits == (limit_first, limit_second)
         assert strictly_prefers(oracle, limit_second, limit_first)
 
     def test_witness_serializes(self, alts2, oracle_factory):
         oracle = oracle_factory("lexicographic", alts2, priority=("a", "b"))
         check = falsify_weak_continuity(oracle, builtin_families(alts2), 3)
-        doc = check.witness
-        assert check.to_dict()["witness"] == doc
+        doc = check["witness"]
+        assert json.loads(json.dumps(check))["witness"] == doc
         assert doc["depth"] == 3
         assert set(doc) == {"family", "depth", "term_1", "limit_first", "limit_second"}
 
@@ -558,10 +563,12 @@ class TestReplayGuard:
         alts3, alts2 = rp.AlternativeSet(("a", "b", "c")), rp.AlternativeSet(("a", "b"))
         if scenario in ("reflexivity", "connectedness", "transitivity"):
             checks = check_order_axioms(oracle(alts3), RafSampler(alts3, 5), 20, 40)
-            return {c.axiom: c for c in checks}[scenario].verdict == rp.FALSIFIED
+            return {c["axiom"]: c for c in checks}[scenario]["verdict"] == rp.FALSIFIED
         if scenario == "dominance":
-            return not falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20).passed
-        return not falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10).passed
+            check = falsify_weak_dominance(oracle(alts3), RafSampler(alts3, 5), 20)
+        else:
+            check = falsify_weak_continuity(oracle(alts2), builtin_families(alts2), 10)
+        return check["verdict"] == rp.FALSIFIED
 
     # The counts pin what probing and replaying cost on this path; a
     # refactor of the checks must not change them.
@@ -596,8 +603,12 @@ class TestReplayGuard:
         assert len(calls) == queries
 
 
+#: The keys of every check record, sorted.
+CHECK_FIELDS = ["axiom", "note", "samples", "verdict", "witness"]
+
+
 class TestSharedContract:
-    """All five checks return an AxiomCheck with the same reading of its fields."""
+    """All five checks return a JSON-ready record with the same reading of its fields."""
 
     N = 40
     DEPTH = 10
@@ -612,7 +623,7 @@ class TestSharedContract:
         if axiom == "weak_continuity":
             return falsify_weak_continuity(oracle, builtin_families(alts), cls.DEPTH)
         checks = check_order_axioms(oracle, sampler, cls.N, cls.N)
-        return {c.axiom: c for c in checks}[axiom]
+        return {c["axiom"]: c for c in checks}[axiom]
 
     @classmethod
     def candidates(cls, axiom, alts):
@@ -667,30 +678,32 @@ class TestSharedContract:
         else:
             oracle = oracle(alts3)
         check = self.run(axiom, oracle)
-        assert isinstance(check, rp.AxiomCheck) and check.axiom == axiom
+        assert type(check) is dict and sorted(check) == CHECK_FIELDS
+        assert json.loads(json.dumps(check, sort_keys=True)) == check
+        assert check["axiom"] == axiom
 
         candidates = self.candidates(axiom, alts3)
         hits = [i for i, c in enumerate(candidates, 1) if self.violated(axiom, oracle, c)]
         assert bool(hits) == broken
-        assert check.passed == (not hits)
+        assert (check["verdict"] != rp.FALSIFIED) == (not hits)
         passing = {"weak_dominance": self.N + 1, "weak_continuity": len(builtin_families(alts3))}
         assert len(candidates) == passing.get(axiom, self.N)
-        assert check.samples == (hits[0] if hits else len(candidates))
+        assert check["samples"] == (hits[0] if hits else len(candidates))
 
-        assert (check.witness is None) == (check.verdict != rp.FALSIFIED)
+        assert (check["witness"] is None) == (check["verdict"] != rp.FALSIFIED)
         clean_verdict = rp.NOT_FALSIFIED if axiom == "weak_continuity" else rp.PASSED_SAMPLED
-        assert check.verdict == (rp.FALSIFIED if hits else clean_verdict)
-        has_note = axiom == "weak_continuity" and check.witness is None
-        assert (check.note is not None) == has_note
+        assert check["verdict"] == (rp.FALSIFIED if hits else clean_verdict)
+        has_note = axiom == "weak_continuity" and check["witness"] is None
+        assert (check["note"] is not None) == has_note
         if has_note:
-            assert "not a verification" in check.note
+            assert "not a verification" in check["note"]
 
         if hits:
             # The witness is the first violating candidate (an ordering of
             # it, for a triple).
             found = candidates[hits[0] - 1]
             if axiom == "weak_continuity":
-                assert check.witness["family"] == found[0].description
+                assert check["witness"]["family"] == found[0].description
             else:
-                points = [Raf.from_dict(point) for point in check.witness.values()]
+                points = [Raf.from_dict(point) for point in check["witness"].values()]
                 assert sorted(p.values for p in points) == sorted(p.values for p in found)

@@ -1,11 +1,11 @@
 """Byte-exact command line output on fixed inputs.
 
-Each case runs one subcommand on the inputs under ``tests/golden/`` and
-compares the exit code, the report bytes and the stderr text with the
-files recorded next to them, once with the report written to ``--out``
-and once to stdout.  The determinism tests compare two runs of the same
-code; these compare against recorded output, so a refactor that changes a
-single byte of a report fails here.
+Each case of ``tests/golden_cases.py`` runs one subcommand on the inputs
+under ``tests/golden/`` and compares the exit code, the report bytes and
+the stderr text with the files recorded next to them, once with the report
+written to ``--out`` and once to stdout.  The determinism tests compare two
+runs of the same code; these compare against recorded output, so a
+refactor that changes a single byte of a report fails here.
 
 A change that alters output on purpose re-records the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
@@ -26,89 +26,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from golden_cases import CASES, GOLDEN, inputs, recording, run_case
 from rafpref import cli
-
-GOLDEN = Path(__file__).parent / "golden"
-
-_AXIOMS = ["--seed", "7", "--pairs", "30", "--triples", "30", "--depth", "5"]
-
-#: name -> (argv without --out, expected exit code)
-CASES = {
-    "check_axioms_additive": (["check-axioms", "--spec", "spec_additive.json", *_AXIOMS], 0),
-    "check_axioms_threshold": (["check-axioms", "--spec", "spec_threshold.json", *_AXIOMS], 2),
-    "check_axioms_anti": (["check-axioms", "--spec", "spec_anti.json", *_AXIOMS], 2),
-    "check_axioms_lex": (["check-axioms", "--spec", "spec_lex.json", "--alts", "x,y,z", *_AXIOMS], 2),
-    "validate_additive": (
-        ["validate", "--spec", "spec_additive.json", "--seed", "7", "--pairs", "30", "--tol", "1e-9"],
-        0,
-    ),
-    "validate_lex": (
-        ["validate", "--spec", "spec_lex.json", "--seed", "7", "--pairs", "30", "--tol", "0.05"],
-        0,
-    ),
-    "validate_anti": (["validate", "--spec", "spec_anti.json", "--pairs", "30"], 3),
-    "build_utility_csv": (
-        ["build-utility", "--spec", "spec_additive.json", "--rafs", "rafs.json", "--tol", "1e-9"],
-        0,
-    ),
-    "build_utility_json": (
-        ["build-utility", "--spec", "spec_additive.json", "--rafs", "rafs.json", "--tol", "1e-9",
-         "--format", "json"],
-        0,
-    ),
-    "build_utility_anti": (["build-utility", "--spec", "spec_anti.json", "--rafs", "rafs.json"], 3),
-    "choose_additive": (["choose", "--spec", "spec_additive.json", "--menu", "menu.json"], 0),
-    "choose_lex": (["choose", "--spec", "spec_lex.json", "--menu", "menu.json", "--tol", "0.05"], 0),
-    "demo_sequences_csv": (
-        ["demo-sequences", "--upper", "1.0,0.6,0.3,0.0", "--lower", "1.0,0.6,0.2,0.0",
-         "--terms", "1,2,5,10,1000"],
-        0,
-    ),
-    "demo_sequences_json": (
-        ["demo-sequences", "--alts", "p,q,r,s", "--upper", "1.0,0.6,0.3,0.0",
-         "--lower", "1.0,0.6,0.2,0.0", "--terms", "1,2,5,10,1000", "--format", "json"],
-        0,
-    ),
-}
-
-_INPUTS = {p.name for p in GOLDEN.glob("*.json")}
-
-
-def _inputs(argv: list[str]) -> list[str]:
-    return [str(GOLDEN / a) if a in _INPUTS else a for a in argv]
-
-
-def run_case(name: str, out: Path) -> tuple[int, bytes, str]:
-    """Run one case; return its exit code, report bytes and stderr text."""
-    argv = _inputs(CASES[name][0])
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli.main([*argv, "--out", str(out)])
-    return rc, out.read_bytes() if out.exists() else b"", err.getvalue()
-
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_recording(name, tmp_path):
-    rc, report, err = run_case(name, tmp_path / "report")
-    assert rc == CASES[name][1]
-    assert report == (GOLDEN / f"{name}.out").read_bytes()
-    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+    assert run_case(name, tmp_path / "report") == recording(name)
 
 
 def run_to_stdout(argv: list[str]) -> tuple[int, bytes, str]:
     """Run ``argv`` without ``--out``; return its exit code, stdout bytes and stderr text."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        rc = cli.main(_inputs(argv))
+        rc = cli.main(inputs(argv))
     return rc, out.getvalue().encode("utf-8"), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_matches_recording(name):
-    rc, report, err = run_to_stdout(CASES[name][0])
-    assert rc == CASES[name][1]
-    assert report == (GOLDEN / f"{name}.out").read_bytes()
-    assert err == (GOLDEN / f"{name}.err").read_text(encoding="utf-8")
+    assert run_to_stdout(CASES[name][0]) == recording(name)
 
 
 def test_unwritable_out_exits_one_and_prints_nothing(tmp_path):
@@ -120,12 +56,7 @@ def test_unwritable_out_exits_one_and_prints_nothing(tmp_path):
 
 def _matches_recording(name: str, out: Path) -> bool:
     out.unlink(missing_ok=True)
-    rc, report, err = run_case(name, out)
-    return (rc, report, err) == (
-        CASES[name][1],
-        (GOLDEN / f"{name}.out").read_bytes(),
-        (GOLDEN / f"{name}.err").read_text(encoding="utf-8"),
-    )
+    return run_case(name, out) == recording(name)
 
 
 def test_cases_in_one_process_share_the_parser(tmp_path):
@@ -136,7 +67,7 @@ def test_cases_in_one_process_share_the_parser(tmp_path):
         assert _matches_recording(name, tmp_path / "report"), name
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            assert cli.main([*_inputs(CASES[name][0]), "--no-such-flag"]) == 1
+            assert cli.main([*inputs(CASES[name][0]), "--no-such-flag"]) == 1
         assert "unrecognized arguments: --no-such-flag" in err.getvalue()
 
 
@@ -240,7 +171,7 @@ def _argvs(draw) -> list[str]:
         values = _FLAGS[command][flag] if how != "bad" else _BAD
         argv += [flag, draw(st.sampled_from(values))]
     tail = draw(st.sampled_from([[]] * 4 + [["--help"], ["--tol"], ["--seed"], ["--depth", "2"]]))
-    return _inputs(argv + tail)
+    return inputs(argv + tail)
 
 
 @settings(max_examples=80, deadline=None)

@@ -105,6 +105,27 @@ class TestComputeU:
         assert at_bottom["u"] == 0.0 and at_bottom["lo"] == 0.0 and at_bottom["hi"] == 0.0
         assert at_bottom["oracle_calls"] == 2
 
+    @pytest.mark.parametrize("hint", ["lexicographic", "raises"])
+    def test_point_over_other_alternatives_is_refused_before_the_hint(
+        self, alts3, alts5, oracle_factory, hint
+    ):
+        # The lexicographic hint reads coordinate "e", which a point over
+        # a, b, c lacks; neither hint may be read for such a point.
+        oracle = oracle_factory("lexicographic", alts5, priority=tuple("edcba"))
+        if hint == "raises":
+            def unread(raf):
+                raise AssertionError("the hint was read")
+
+            oracle.diagonal = unread
+        point = Raf(alts3, (0.2, 0.5, 0.9))
+        with pytest.raises(rp.AlternativeSetMismatchError) as queried:
+            oracle.weak_prefers(scale_top(0.5, alts5), point)
+        with pytest.raises(rp.AlternativeSetMismatchError) as computed:
+            compute_u(oracle, point, TOL)
+        assert str(computed.value) == str(queried.value)
+        with pytest.raises(rp.AlternativeSetMismatchError):
+            validate_representation(oracle, RafSampler(alts3, SEED), 3, TOL)
+
     def test_bracket_certifies_the_result(self, alts3, oracle_factory):
         oracle = oracle_factory("additive", alts3)
         raf = Raf(alts3, (0.8, 0.2, 0.5))
