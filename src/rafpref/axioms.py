@@ -21,7 +21,7 @@ from itertools import chain, permutations
 from typing import Callable, Iterable, Sequence
 
 from .errors import ValidationError, _count, _real, _sequence
-from .preference import PreferenceOracle, _diagonal_guess, strictly_prefers
+from .preference import PreferenceOracle, strictly_prefers
 from .raf import AlternativeSet, Raf, bottom, scale_top, top
 from .sampling import RafSampler
 
@@ -158,36 +158,33 @@ def check_order_axioms(
     witness is the first violated ordering in ``permutations`` order.  The
     first violation of each axiom is re-queried before it is reported.
 
-    The oracle's ``diagonal`` hint, where it ranks two points strictly,
-    chooses which question goes first, never an answer: a pair asks first
-    whether the point hinted higher is preferred, and a triple whose first
-    point is hinted above its second walks the tree with those two
-    positions exchanged.  Reflexivity costs 1 query per point; a correct
-    hint makes connectedness cost 1 per pair and transitivity 4 per strict
-    triple, the least any probe can ask.  No hint, a tie, or a guess that
-    :func:`rafpref.utility.compute_u` would ignore keeps the hint-less
-    order; a wrong hint still asks at most 2 queries per pair and 6 per
-    triple.  Verdicts, sample counts, witnesses and the sampler's stream do
-    not depend on the hint.
+    The oracle's ``key``, where it ranks two points strictly, chooses which
+    question goes first, never an answer: a pair asks first whether the
+    point with the greater key is preferred, and a triple whose first point
+    has a greater key than its second walks the tree with those two
+    positions exchanged.  Reflexivity costs 1 query per point; a key that
+    orders the points as the oracle does makes connectedness cost 1 per
+    pair and transitivity 4 per strict triple, the least any probe can ask.
+    No key, or a tie, keeps the keyless order; a key that disagrees with
+    the oracle still asks at most 2 queries per pair and 6 per triple.
+    Verdicts, sample counts, witnesses and the sampler's stream do not
+    depend on the key.  The ``diagonal`` hint is not read.
     """
     n_pairs = _count("n_pairs", n_pairs, 1)
     n_triples = _count("n_triples", n_triples, 1)
     weak = oracle.weak_prefers
+    key = oracle.key
 
     def above(a: Raf, b: Raf) -> bool:
-        # Whether the hint ranks ``a`` strictly above ``b``; a missing or
-        # unusable hint ranks nothing.
-        if oracle.diagonal is None:
-            return False
-        ha, hb = _diagonal_guess(oracle, a), _diagonal_guess(oracle, b)
-        return ha is not None and hb is not None and ha > hb
+        # Whether the key ranks ``a`` strictly above ``b``; no key ranks nothing.
+        return key is not None and key(a) > key(b)
 
     def irreflexive(a: Raf) -> bool:
         return not weak(a, a)
 
     def incomparable(a: Raf, b: Raf) -> bool:
-        # Symmetric, so the pair is asked in either order: the hinted-higher
-        # point first, since its "yes" settles the pair at once.
+        # Symmetric, so the pair is asked in either order: the point keyed
+        # higher first, since its "yes" settles the pair at once.
         if above(b, a):
             a, b = b, a
         return not weak(a, b) and not weak(b, a)
@@ -196,7 +193,7 @@ def check_order_axioms(
         return weak(x, y) and weak(y, z) and not weak(x, z)
 
     def broken_order(triple: Sequence[Raf]) -> tuple[Raf, Raf, Raf] | None:
-        # Walk _TREE, or _TREE_10 when the hint ranks the first point above
+        # Walk _TREE, or _TREE_10 when the key ranks the first point above
         # the second, until the answers settle the triple.  ``rel`` is
         # indexed by the triple's own positions on either tree, so an
         # intransitive one has its other pairs asked in _PAIRS order and the

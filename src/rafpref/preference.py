@@ -135,15 +135,16 @@ class PreferenceOracle:
     Wraps any callable ``(a, b) -> bool``.  Determinism, totality and the
     order axioms are behavioural contracts: they are not enforced here but
     probed by :func:`rafpref.axioms.check_order_axioms`.  ``key`` optionally
-    exposes the comparison key of score-based oracles so exact argmax cross
-    checks are possible.  ``diagonal`` optionally guesses, as a float, the
-    utility of a point: the diagonal level it is indifferent to.  The guess
-    is not a query and is never trusted.  :func:`rafpref.utility.compute_u`
-    checks it with membership queries; a wrong guess costs at most 1 query
-    more than bisection, or 2 more when an end of the ray settles the
-    answer.  :func:`rafpref.axioms.check_order_axioms` lets it choose which
-    question of a pair or triple to ask first, never the answers.  A
-    guess of None, NaN or outside ``[0, 1]`` counts as none.
+    exposes the comparison key of score-based oracles, so exact argmax cross
+    checks are possible; its values must be mutually comparable with ``>``.
+    :func:`rafpref.axioms.check_order_axioms` lets it choose which question
+    of a pair or triple to ask first, never the answers.  ``diagonal``
+    optionally guesses, as a float, the utility of a point: the diagonal
+    level it is indifferent to.  The guess is not a query and is never
+    trusted.  :func:`rafpref.utility.compute_u` checks it with membership
+    queries; a wrong guess costs at most 1 query more than bisection, or 2
+    more when an end of the ray settles the answer.  A guess of None, NaN or
+    outside ``[0, 1]`` counts as none.
     """
 
     def __init__(
@@ -179,15 +180,6 @@ class PreferenceOracle:
 
     def __repr__(self) -> str:
         return f"PreferenceOracle({self.name!r}, alts={self.alts.labels})"
-
-
-def _diagonal_guess(oracle: PreferenceOracle, raf: Raf) -> float | None:
-    """The oracle's ``diagonal`` guess at ``raf`` if it is a level in
-    ``[0, 1]``; None for no hint, or a guess of None, NaN or out of range."""
-    if oracle.diagonal is None:
-        return None
-    hint = oracle.diagonal(raf)
-    return hint if hint is not None and 0.0 <= hint <= 1.0 else None
 
 
 def build_oracle(spec: PreferenceSpec, alts: AlternativeSet) -> PreferenceOracle:

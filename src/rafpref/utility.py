@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import DiagonalMonotonicityError, ValidationError, _count, _tol
-from .preference import PreferenceOracle, _diagonal_guess
+from .preference import PreferenceOracle
 from .raf import Raf, _diagonal, scale_top
 from .sampling import RafSampler
 
@@ -37,6 +37,15 @@ __all__ = [
 def membership(oracle: PreferenceOracle, raf: Raf, t: float) -> bool:
     """Is the constant RAF at level ``t`` weakly preferred to ``raf``?"""
     return oracle.weak_prefers(scale_top(t, oracle.alts), raf)
+
+
+def _diagonal_guess(oracle: PreferenceOracle, raf: Raf) -> float | None:
+    """The oracle's ``diagonal`` guess at ``raf`` if it is a level in
+    ``[0, 1]``; None for no hint, or a guess of None, NaN or out of range."""
+    if oracle.diagonal is None:
+        return None
+    hint = oracle.diagonal(raf)
+    return hint if hint is not None and 0.0 <= hint <= 1.0 else None
 
 
 def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
@@ -151,9 +160,10 @@ def compute_u(oracle: PreferenceOracle, raf: Raf, tol: float) -> dict:
         return {"u": 0.0, "lo": 0.0, "hi": 0.0, "oracle_calls": calls}
     if top:
         return {"u": 1.0, "lo": 1.0, "hi": 1.0, "oracle_calls": calls}
-    if cell is not None:  # a cell already probed asks nothing more
+    if cell is not None:
+        # A cell touching 0 or 1 asks its inner end; its far end is 0 or 1,
+        # settled already, and an interior cell was probed before the ends.
         probe(near)
-        probe(far)
 
     lo, hi = 0.0, 1.0
     while hi - lo > 2.0 * tol:

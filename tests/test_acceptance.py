@@ -16,8 +16,8 @@ executable scorecard:
     score argmax;
 9.  CLI reports are byte-identical across reruns;
 10. a hinted cell inside (0, 1) costs exactly two queries;
-11. hinted order checks ask one query per point and per pair and four per
-    triple.
+11. order checks ranked by the oracle's key ask one query per point and
+    per pair and four per triple.
 """
 
 from __future__ import annotations
@@ -337,14 +337,14 @@ def test_hinted_cell_costs_two_queries():
 
 
 def test_hinted_order_checks_ask_the_least():
-    # On each hinted dominant kind the hint ranks every sampled pair and
-    # triple as the oracle does, so reflexivity and connectedness ask one
-    # query per candidate and transitivity four, the least any probe can.
+    # On every built-in kind the key ranks every sampled pair and triple as
+    # the oracle does, so reflexivity and connectedness ask one query per
+    # candidate and transitivity four, the least any probe can.
     n_pairs, n_triples = 1000, 1000
-    expected = n_pairs + n_pairs + 4 * n_triples
+    expected = 2 * n_pairs + 4 * n_triples
     counts = set()
     passed = True
-    for kind in DOMINANT_KINDS:
+    for kind in (*DOMINANT_KINDS, "anti_monotone", "threshold"):
         oracle = _oracle(kind)
         for seed in (1, 2, 3):
             calls = []
@@ -353,12 +353,12 @@ def test_hinted_order_checks_ask_the_least():
                 _calls.append(1)
                 return _weak(a, b)
 
-            counting = rp.PreferenceOracle(kind, ALTS5, query, diagonal=oracle.diagonal)
+            counting = rp.PreferenceOracle(kind, ALTS5, query, key=oracle.key)
             checks = check_order_axioms(counting, RafSampler(ALTS5, seed), n_pairs, n_triples)
             passed = passed and all(c["verdict"] != rp.FALSIFIED for c in checks)
             counts.add(len(calls))
     _report(
-        "hinted order checks",
+        "keyed order checks",
         passed and counts == {expected},
         f"queries per request {sorted(counts)}, least {expected}",
     )

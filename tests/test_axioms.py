@@ -68,6 +68,20 @@ class TestOrderAxioms:
         with pytest.raises(rp.ValidationError, match="positive"):
             check_order_axioms(oracle, RafSampler(alts3, SEED), 10, 0)
 
+    @pytest.mark.parametrize("key", ["lexicographic", "raises"])
+    def test_sampler_over_other_alternatives_is_refused(self, alts3, alts5, oracle_factory, key):
+        # The lexicographic key reads coordinate "e", which a point over a,
+        # b, c lacks; reflexivity's query comes first and refuses the point
+        # before any key is read.
+        oracle = oracle_factory("lexicographic", alts5, priority=tuple("edcba"))
+        if key == "raises":
+            def unread(raf):
+                raise AssertionError("the key was read")
+
+            oracle.key = unread
+        with pytest.raises(rp.AlternativeSetMismatchError):
+            check_order_axioms(oracle, RafSampler(alts3, SEED), 5, 5)
+
     def test_reflexivity_falsified_with_replayed_witness(self, alts3):
         oracle = never_oracle(alts3)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 50, 50)
@@ -136,10 +150,10 @@ class FixedSampler:
         return [tuple(self.rafs(size))] * n
 
 
-def table_oracle(alts, points, answers, log, hints=None):
+def table_oracle(alts, points, answers, log, key=None):
     # Answers each ordered pair of distinct points from ``answers``, every
     # point is preferred to itself, and each query is logged by position.
-    # ``hints``, if given, is each point's diagonal guess by position.
+    # ``key``, if given, is each point's key by position.
     position = {p.values: i for i, p in enumerate(points)}
 
     def query(a, b):
@@ -147,14 +161,14 @@ def table_oracle(alts, points, answers, log, hints=None):
         log.append((i, j))
         return i == j or answers[(i, j)]
 
-    diagonal = None if hints is None else (lambda p: hints[position[p.values]])
-    return PreferenceOracle("table", alts, query, diagonal=diagonal)
+    ranking = None if key is None else (lambda p: key[position[p.values]])
+    return PreferenceOracle("table", alts, query, key=ranking)
 
 
 PAIRS = [(x, y) for x in range(3) for y in range(3) if x != y]
 PATTERNS = list(product((False, True), repeat=6))
-# No hint, the six strict hint rankings of a triple, a tie and NaN.
-HINTS = [None, *permutations((0.1, 0.5, 0.9)), (0.5, 0.5, 0.5), (float("nan"),) * 3]
+# No key, the six strict key rankings of a triple, a tie and NaN.
+KEYS = [None, *permutations((0.1, 0.5, 0.9)), (0.5, 0.5, 0.5), (float("nan"),) * 3]
 
 
 def intransitive(rel):
@@ -184,15 +198,15 @@ def settled_after(probe, answers):
 
 
 def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2):
-    # Whatever the hint, right, wrong, tied or NaN, the probe finds the
+    # Whatever the key, right, wrong, tied or NaN, the probe finds the
     # reference's verdict and witness and follows the same rules.
     points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
     roles = ("first", "second", "third")
-    for hints, pattern in product(HINTS, PATTERNS):
-        case = (hints, pattern)
+    for key, pattern in product(KEYS, PATTERNS):
+        case = (key, pattern)
         answers = dict(zip(PAIRS, pattern))
         log = []
-        oracle = table_oracle(alts2, points, answers, log, hints)
+        oracle = table_oracle(alts2, points, answers, log, key)
         _, _, check = check_order_axioms(oracle, FixedSampler(points), 1, 1)
         reference = table_oracle(alts2, points, answers, [])
         witness = reference_broken_order(reference.weak_prefers, points)
@@ -217,10 +231,10 @@ def test_transitivity_probe_matches_the_reference_on_every_answer_pattern(alts2)
         assert probe[k:] == rest, case
 
 
-def probe_cost(points, answers, hints=None):
+def probe_cost(points, answers, key=None):
     """Queries the transitivity probe asks on one triple."""
     log = []
-    oracle = table_oracle(points[0].alts, points, answers, log, hints)
+    oracle = table_oracle(points[0].alts, points, answers, log, key)
     check_order_axioms(oracle, FixedSampler(points), 1, 1)
     return len(log) - 2  # after reflexivity's and connectedness' one query each
 
@@ -271,28 +285,32 @@ def least_certificate(answers):
 
 
 def test_a_correctly_hinted_triple_asks_the_least_certificate(alts2):
-    # No 3 answers settle a strict triple, and a hint that ranks the points
+    # No 3 answers settle a strict triple, and a key that ranks the points
     # as the oracle does makes the probe ask exactly 4 on every ranking.
     points = [Raf(alts2, (v, v)) for v in (0.1, 0.5, 0.9)]
     for rank in permutations(range(3)):
         answers = ranking_answers(rank)
         assert least_certificate(tuple(answers[p] for p in PAIRS)) == 4, rank
-        hints = tuple(0.2 + 0.3 * r for r in rank)
-        assert probe_cost(points, answers, hints) == 4, rank
+        key = tuple(0.2 + 0.3 * r for r in rank)
+        assert probe_cost(points, answers, key) == 4, rank
 
 
-def logging_oracle(truth, log, diagonal):
-    """``truth``'s answers with the given hint; each query is logged by its
-    points' values."""
+def logging_oracle(truth, log, key=None, diagonal=None):
+    """``truth``'s answers with the given key and hint; each query is logged
+    by its points' values."""
 
     def query(a, b):
         log.append((a.values, b.values))
         return truth.weak_prefers(a, b)
 
-    return PreferenceOracle("logged", truth.alts, query, diagonal=diagonal)
+    return PreferenceOracle("logged", truth.alts, query, key=key, diagonal=diagonal)
 
 
-@pytest.mark.parametrize("kind", ["additive", "min", "geometric", "lexicographic"])
+# Ranks points in the reverse of the order of their values.
+reversed_order = functools.cmp_to_key(lambda x, y: (x < y) - (x > y))
+
+
+@pytest.mark.parametrize("kind", sorted(rp.KINDS))
 def test_connectedness_asks_once_per_pair_when_the_hint_is_right(alts3, oracle_factory, kind):
     n = 200
     truth = oracle_factory(kind, alts3)
@@ -300,36 +318,44 @@ def test_connectedness_asks_once_per_pair_when_the_hint_is_right(alts3, oracle_f
     sampler.rafs(n)  # reflexivity's points
     drawn = {tuple(p.values for p in sampler.rafs(2)) for _ in range(n)}
     costs = {}
-    for name, diagonal in (
-        ("right", truth.diagonal),
+    for name, key in (
+        ("right", truth.key),
         ("none", None),
-        ("wrong", lambda raf: 1.0 - truth.diagonal(raf)),
+        ("wrong", lambda raf: reversed_order(truth.key(raf))),
     ):
         log = []
-        oracle = logging_oracle(truth, log, diagonal)
+        oracle = logging_oracle(truth, log, key)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), n, 1)
         assert all(c["verdict"] != rp.FALSIFIED for c in checks), name
         asked = [q for q in log if q in drawn or q[::-1] in drawn]
         costs[name] = len(asked)
         if name == "right":
-            # The point hinted higher is asked first, and its "yes" settles the pair.
+            # The point keyed higher is asked first, and its "yes" settles the pair.
             assert all(truth.weak_prefers(Raf(alts3, a), Raf(alts3, b)) for a, b in asked)
-    # A wrong hint asks both questions of every pair, as many as any order can.
+    # A reversed key asks both questions of every pair, as many as any order can.
     assert costs["right"] == n < costs["none"] < costs["wrong"] == 2 * n
 
 
 @pytest.mark.parametrize("bad", [None, float("nan"), float("inf"), -0.5, 2.0])
 def test_an_unusable_hint_asks_what_no_hint_asks(alts3, oracle_factory, bad):
-    # Half the points have the unusable guess and the others tie at 1/2, so
-    # only a guess that was read as a level could reorder a question.
+    # The order checks read no hint, so the right hint and an unusable one
+    # ask exactly what no hint asks.  A key ranks two points only when one
+    # value is strictly greater, so a key that ties at 1/2, or is NaN on
+    # half the points and 1/2 on the others, asks what no key asks.
     truth = oracle_factory("min", alts3)
     logs = []
-    for diagonal in (None, lambda raf: bad if raf.values[0] < 0.5 else 0.5):
+    for key, diagonal in (
+        (None, None),
+        (None, truth.diagonal),
+        (None, lambda raf: bad if raf.values[0] < 0.5 else 0.5),
+        (lambda raf: 0.5, None),
+        (lambda raf: float("nan") if raf.values[0] < 0.5 else 0.5, None),
+    ):
         log = []
-        oracle = logging_oracle(truth, log, diagonal)
+        oracle = logging_oracle(truth, log, key, diagonal)
         checks = check_order_axioms(oracle, RafSampler(alts3, SEED), 100, 100)
         logs.append((log, checks))
-    assert logs[0] == logs[1]
+    assert all(run == logs[0] for run in logs)
 
 
 def stream_points(alts, seed, count):
