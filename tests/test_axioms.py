@@ -347,7 +347,7 @@ def test_an_unusable_hint_asks_what_no_hint_asks(alts3, oracle_factory, bad):
     for key, diagonal in (
         (None, None),
         (None, truth.diagonal),
-        (None, lambda raf: bad if raf.values[0] < 0.5 else 0.5),
+        (None, lambda raf: bad),
         (lambda raf: 0.5, None),
         (lambda raf: float("nan") if raf.values[0] < 0.5 else 0.5, None),
     ):
